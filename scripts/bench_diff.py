@@ -38,7 +38,15 @@ fail the run (families evolve across revisions) — but an entire family
 that exists in the baseline and is missing from the current snapshot
 fails with a clear diagnostic: that shape of diff means the benchmark
 binary dropped (or was built without) a whole scaling family, and a
-silent skip would let the regression gate pass vacuously. Stdlib only.
+silent skip would let the regression gate pass vacuously.
+
+The host's CPU count (`context.num_cpus`) is read from both snapshots.
+When it differs and a `/threads:N` row would be compared, the diff
+exits 1 naming both counts: thread-scaling times from hosts with
+different core counts measure different things, and comparing them
+would pass or fail for the wrong reason. A snapshot without the field
+(hand-written or truncated) skips the check with a warning. Stdlib
+only.
 """
 
 import argparse
@@ -69,6 +77,8 @@ def canonical(name):
 
 
 def load(path):
+    """Canonical benchmark name -> real_time [ns], plus context.num_cpus
+    (None when the snapshot does not record it)."""
     try:
         with open(path) as f:
             data = json.load(f)
@@ -86,7 +96,7 @@ def load(path):
                              f"for {bench['name']}")
         out[canonical(bench["name"])] = \
             float(bench["real_time"]) * _UNIT_NS[unit]
-    return out
+    return out, data.get("context", {}).get("num_cpus")
 
 
 def missing_families(base, cur, families):
@@ -118,8 +128,8 @@ def main(argv=None):
                     help="require current[A]/current[B] <= RATIO")
     args = ap.parse_args(argv)
 
-    base = load(args.baseline)
-    cur = load(args.current)
+    base, base_cpus = load(args.baseline)
+    cur, cur_cpus = load(args.current)
 
     lost = missing_families(base, cur, args.families)
     if lost:
@@ -138,6 +148,22 @@ def main(argv=None):
     matched = sorted(n for n in base if n in cur and in_family(n))
     only_base = sorted(n for n in base if n not in cur and in_family(n))
     only_cur = sorted(n for n in cur if n not in base and in_family(n))
+
+    threads_rows = [n for n in matched if "/threads:" in n]
+    if threads_rows:
+        if base_cpus is None or cur_cpus is None:
+            print("warning: context.num_cpus missing from "
+                  f"{'the baseline' if base_cpus is None else 'the current'}"
+                  " snapshot; /threads: rows are compared without a host "
+                  "check.", file=sys.stderr)
+        elif base_cpus != cur_cpus:
+            print(f"error: the baseline was recorded with num_cpus = "
+                  f"{base_cpus} and the current snapshot with num_cpus = "
+                  f"{cur_cpus}; {len(threads_rows)} /threads: row(s) would "
+                  f"be compared across different core counts. Record a "
+                  f"baseline on a host with {cur_cpus} CPUs, or leave "
+                  f"/threads: out of --families.", file=sys.stderr)
+            return 1
 
     regressions = []
     print(f"{'benchmark':60s} {'baseline':>14s} {'current':>14s} {'delta':>8s}")

@@ -15,11 +15,14 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_diff  # noqa: E402
 
 
-def snapshot(benchmarks):
-    return {"benchmarks": [
+def snapshot(benchmarks, num_cpus=None):
+    data = {"benchmarks": [
         {"name": name, "real_time": rt, "time_unit": "ns"}
         for name, rt in benchmarks.items()
     ]}
+    if num_cpus is not None:
+        data["context"] = {"num_cpus": num_cpus}
+    return data
 
 
 class BenchDiffTest(unittest.TestCase):
@@ -234,6 +237,53 @@ class BenchDiffTest(unittest.TestCase):
         cur = self.write("cur.json", snapshot({
             "BM_Wer/wer:12/real_time": 200.0}))
         self.assertEqual(self.run_diff(base, cur), 1)
+
+    def run_diff_stderr(self, base, cur, extra=()):
+        import contextlib
+        import io
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = self.run_diff(base, cur, extra)
+        return rc, err.getvalue()
+
+    def test_same_num_cpus_compares_threads_rows(self):
+        base = self.write("base.json", snapshot(
+            {"BM_Y/threads:4": 50.0}, num_cpus=4))
+        cur = self.write("cur.json", snapshot(
+            {"BM_Y/threads:4": 52.0}, num_cpus=4))
+        rc, err = self.run_diff_stderr(base, cur)
+        self.assertEqual(rc, 0)
+        self.assertNotIn("num_cpus", err)
+
+    def test_different_num_cpus_refuses_threads_rows(self):
+        # A 1-CPU baseline against a 4-CPU snapshot: the /threads: rows
+        # must not be compared, even though none regressed.
+        base = self.write("base.json", snapshot(
+            {"BM_Y/threads:4": 50.0, "BM_X/dim:64": 100.0}, num_cpus=1))
+        cur = self.write("cur.json", snapshot(
+            {"BM_Y/threads:4": 20.0, "BM_X/dim:64": 100.0}, num_cpus=4))
+        rc, err = self.run_diff_stderr(base, cur)
+        self.assertEqual(rc, 1)
+        self.assertIn("num_cpus = 1", err)
+        self.assertIn("num_cpus = 4", err)
+        # Without a /threads: row in the comparison the count is moot.
+        rc, err = self.run_diff_stderr(base, cur, extra=(
+            "--families", "/dim:"))
+        self.assertEqual(rc, 0)
+        self.assertNotIn("num_cpus", err)
+
+    def test_missing_num_cpus_warns_and_compares(self):
+        base = self.write("base.json", snapshot({"BM_Y/threads:4": 50.0}))
+        cur = self.write("cur.json", snapshot(
+            {"BM_Y/threads:4": 50.0}, num_cpus=4))
+        rc, err = self.run_diff_stderr(base, cur)
+        self.assertEqual(rc, 0)
+        self.assertIn("num_cpus missing from the baseline", err)
+        # The check does not hide a real regression.
+        slow = self.write("slow.json", snapshot(
+            {"BM_Y/threads:4": 200.0}, num_cpus=4))
+        rc, err = self.run_diff_stderr(base, slow)
+        self.assertEqual(rc, 1)
 
     def test_unit_normalisation(self):
         # A unit change must not read as a 1000x regression.

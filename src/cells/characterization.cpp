@@ -53,38 +53,6 @@ std::map<std::string, double> run_mdl_pipeline(
   return spice::mdl::parse_measure_file(file);
 }
 
-namespace {
-
-/// Fixed or LTE-adaptive transient per the array options — the one place
-/// both characterisation drivers pick their stepping mode.
-[[nodiscard]] spice::TransientResult run_array_transient(
-    spice::Engine& engine, const ArrayNetlistOptions& opt, double t_stop) {
-  if (!opt.adaptive_step) return engine.transient(t_stop, opt.sim_dt);
-  spice::AdaptiveOptions aopt;
-  aopt.ltol_rel = opt.adaptive_ltol;
-  return engine.transient_adaptive(t_stop, opt.sim_dt, aopt);
-}
-
-/// Engine options of an array run: solver choice, sharded assembly, and
-/// the per-column Schur partition (On, or Auto past kSchurAutoDim).
-[[nodiscard]] spice::EngineOptions array_engine_options(
-    const ArrayNetlist& net, const ArrayNetlistOptions& opt,
-    spice::SolverKind solver) {
-  spice::EngineOptions eopt;
-  eopt.solver = solver;
-  eopt.assembly_threads = opt.assembly_threads;
-  const bool partitioned =
-      opt.partitioning == SchurMode::On ||
-      (opt.partitioning == SchurMode::Auto && net.dim >= kSchurAutoDim);
-  if (partitioned) {
-    eopt.partitioned = true;
-    eopt.partition = net.partition;
-  }
-  return eopt;
-}
-
-} // namespace
-
 ArrayWriteResult characterize_array_write(const core::Pdk& pdk,
                                           const ArrayNetlistOptions& opt,
                                           core::WriteDirection dir,
@@ -94,8 +62,8 @@ ArrayWriteResult characterize_array_write(const core::Pdk& pdk,
   const double t_stop = t_start + pulse_width + 1.0e-9;
   auto net = build_array_write_netlist(pdk, opt, dir, pulse_width);
 
-  spice::Engine engine(net.circuit, array_engine_options(net, opt, solver));
-  const auto tr = run_array_transient(engine, opt, t_stop);
+  spice::Engine engine(net.circuit, {.solver = solver});
+  const auto tr = engine.transient(t_stop, opt.sim_dt);
 
   const bool to_p = dir == core::WriteDirection::ToParallel;
   ArrayWriteResult out;
@@ -133,8 +101,8 @@ ArrayReadResult characterize_array_read(const core::Pdk& pdk,
   for (const core::MtjState st :
        {core::MtjState::Parallel, core::MtjState::Antiparallel}) {
     auto net = build_array_read_netlist(pdk, opt, st, t_read);
-    spice::Engine engine(net.circuit, array_engine_options(net, opt, solver));
-    const auto tr = run_array_transient(engine, opt, t_start + t_read + 0.3e-9);
+    spice::Engine engine(net.circuit, {.solver = solver});
+    const auto tr = engine.transient(t_start + t_read + 0.3e-9, opt.sim_dt);
 
     // MDL pipeline: settled bitline-source current during the pulse.
     const double t_lo = t_start + 0.6 * t_read;

@@ -60,11 +60,10 @@ struct ArrayWriteResult {
   double i_peak = 0.0;     ///< peak target-cell stack current [A]
   double i_settled = 0.0;  ///< stack current just before the flip [A]
   std::size_t dim = 0;     ///< MNA unknowns of the array system
-  std::size_t steps = 0;   ///< accepted transient steps (adaptive << fixed)
+  std::size_t steps = 0;   ///< accepted (fixed-size) transient steps
   std::string backend;     ///< linear-solver backend that ran ("sparse"...)
   /// Total columns numerically factored over the run (the
-  /// partial-refactorization observable, aggregated over Schur blocks
-  /// when partitioned).
+  /// partial-refactorization observable).
   std::size_t factor_cols = 0;
   std::size_t supernodes = 0;     ///< supernodal panels (width >= 2)
   std::size_t supernode_cols = 0; ///< columns covered by those panels

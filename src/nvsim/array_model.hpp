@@ -114,13 +114,8 @@ class ArrayModel {
   /// and replaces the analytic switching time, write current, and read
   /// margin with the extracted values. The wordline/bitline RC the analytic
   /// Elmore terms approximate is simulated explicitly in the netlist.
-  /// `adaptive_step` switches the transients to LTE-controlled adaptive
-  /// stepping (several-fold fewer steps at waveform-level accuracy); the
-  /// default stays fixed-step so calibrated numbers are reproducible
-  /// against the reference grid.
   [[nodiscard]] MemoryEstimate estimate_spice(std::size_t max_rows = 64,
-                                              std::size_t max_cols = 64,
-                                              bool adaptive_step = false) const;
+                                              std::size_t max_cols = 64) const;
 
   /// Derived geometry/RC view.
   [[nodiscard]] const ArrayGeometry& geometry() const { return geom_; }

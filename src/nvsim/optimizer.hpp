@@ -54,10 +54,6 @@ struct ExploreOptions {
   bool spice_calibrate = false;
   std::size_t spice_rows = 16;
   std::size_t spice_cols = 16;
-  /// Adaptive (LTE-controlled) stepping for the calibration transients:
-  /// several-fold fewer steps per candidate at waveform-level accuracy.
-  /// Off by default so calibrated numbers match the fixed reference grid.
-  bool spice_adaptive = false;
   /// sweep::Runner thread policy: 0 = shared global pool, 1 = serial,
   /// N = a shared pool of N threads. Results are bit-identical for every
   /// setting.

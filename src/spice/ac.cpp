@@ -111,7 +111,6 @@ AcResult ac_analysis(Circuit& circuit, const std::vector<double>& freqs,
   SolverOptions so;
   so.kind = options.solver;
   so.ordering = options.ordering;
-  so.markowitz = options.markowitz;
   const auto ac_solver = make_ac_solver(so, dim);
   std::vector<std::complex<double>> rhs(dim);
   std::vector<std::complex<double>> xout(dim);

@@ -25,12 +25,6 @@ struct AcOptions {
   SolverKind solver = SolverKind::Auto;
   Ordering ordering = Ordering::Auto; ///< sparse column-ordering policy
   bool stamp_cache = true; ///< per-element stamp-slot caching (A/B knob)
-  /// Sparse: Markowitz dynamic pivoting instead of the static-ordering
-  /// left-looking factorization. The complex admittances move with omega,
-  /// so every sweep point refactors in full anyway — dynamic pivoting
-  /// trades the reusable symbolic structure for fill driven by the actual
-  /// values.
-  bool markowitz = false;
 };
 
 /// Frequency-response of one run.

@@ -5,8 +5,6 @@
 #include <stdexcept>
 
 #include "spice/elements.hpp"
-#include "spice/partition.hpp"
-#include "util/parallel.hpp"
 
 namespace mss::spice {
 
@@ -85,86 +83,10 @@ void Engine::ensure_workspace(std::size_t dim) {
   so.ordering = opt_.ordering;
   so.partial_refactor = opt_.partial_refactor;
   so.supernodal = opt_.supernodal;
-  if (opt_.partitioned && opt_.partition.size() == dim &&
-      resolve_solver(opt_.solver, dim) == SolverKind::Sparse) {
-    auto schur = std::make_unique<SchurSolver>(opt_.partition, so);
-    schur->set_threads(opt_.partition_threads);
-    solver_ = std::move(schur);
-  } else {
-    solver_ = make_solver(so, dim);
-  }
+  solver_ = make_solver(so, dim);
   rhs_.assign(dim, 0.0);
   x_new_.assign(dim, 0.0);
   ws_dim_ = dim;
-  shard_vals_.clear();
-  shard_rhs_.clear();
-  shard_of_elem_.clear();
-  shard_elem_count_ = 0;
-}
-
-bool Engine::stamp_sharded(const Solution& sol, const StampContext& ctx,
-                           std::size_t dim, int threads) {
-  const std::size_t nslots = solver_->slot_count();
-  if (nslots == 0) return false; // no stable slot storage / first pass
-  const std::size_t nshards =
-      threads <= 0 ? util::ThreadPool::global().size()
-                   : static_cast<std::size_t>(threads);
-  if (nshards < 2) return false;
-
-  auto& elems = ckt_.elements();
-  const std::size_t ne = elems.size();
-  if (shard_of_elem_.size() != ne || shard_vals_.size() != nshards ||
-      shard_elem_count_ != ne) {
-    // Shard 0 is the shared/serial group; groups >= 0 round-robin over the
-    // remaining shards. Declaration order is preserved inside a shard, so
-    // per-slot accumulation order matches the serial pass.
-    shard_of_elem_.resize(ne);
-    for (std::size_t i = 0; i < ne; ++i) {
-      const int g = elems[i]->stamp_group();
-      shard_of_elem_[i] =
-          g < 0 ? 0u
-                : 1u + static_cast<std::uint32_t>(g) %
-                           static_cast<std::uint32_t>(nshards - 1);
-    }
-    shard_vals_.assign(nshards, {});
-    shard_rhs_.assign(nshards, {});
-    shard_elem_count_ = ne;
-  }
-
-  std::vector<std::uint8_t> missed(nshards, 0);
-  util::ThreadPool::run_with(
-      nshards, nshards, 1,
-      [&](std::size_t s, std::size_t, std::size_t) {
-        shard_vals_[s].assign(nslots, 0.0);
-        shard_rhs_[s].assign(dim, 0.0);
-        MnaSystem sys(*solver_, shard_rhs_[s], shard_vals_[s].data());
-        for (std::size_t i = 0; i < ne; ++i) {
-          if (shard_of_elem_[i] != s) continue;
-          elems[i]->stamp(sys, sol, ctx);
-          if (sys.sink_missed()) break;
-        }
-        missed[s] = sys.sink_missed() ? 1 : 0;
-      });
-  for (std::size_t s = 0; s < nshards; ++s) {
-    if (missed[s]) return false; // cold caches: caller restamps serially
-  }
-
-  // Combine in shard order. Exclusive stamp groups mean each slot / rhs
-  // row receives exactly one shard's accumulator, built by the same add
-  // sequence the serial pass runs from the same +0.0 start — and a +0.0
-  // accumulator can never turn into -0.0 — so skipping zero entries keeps
-  // the assembled values bit-identical to serial stamping.
-  for (std::size_t s = 0; s < nshards; ++s) {
-    const std::vector<double>& sv = shard_vals_[s];
-    for (std::size_t slot = 0; slot < nslots; ++slot) {
-      if (sv[slot] != 0.0) {
-        solver_->add_slot(static_cast<std::uint32_t>(slot), sv[slot]);
-      }
-    }
-    const std::vector<double>& sr = shard_rhs_[s];
-    for (std::size_t i = 0; i < dim; ++i) rhs_[i] += sr[i];
-  }
-  return true;
 }
 
 bool Engine::solve(std::vector<double>& x, const StampContext& ctx,
@@ -176,19 +98,11 @@ bool Engine::solve(std::vector<double>& x, const StampContext& ctx,
   const bool any_nonlinear = ckt_.any_nonlinear();
   const int iters = any_nonlinear ? opt_.max_newton : 1;
 
-  const bool want_sharded = opt_.assembly_threads != 1 && opt_.stamp_cache;
-
   for (int it = 0; it < iters; ++it) {
     solver_->begin(dim);
     std::fill(rhs_.begin(), rhs_.end(), 0.0);
     MnaSystem sys(*solver_, rhs_, opt_.stamp_cache);
-    const Solution sol(x);
-    // Sharded stamping needs warm slot caches and an established pattern;
-    // when it reports a miss the serial pass below both assembles this
-    // iteration and warms every cache for the next one.
-    const bool sharded =
-        want_sharded && stamp_sharded(sol, ctx, dim, opt_.assembly_threads);
-    if (!sharded) ckt_.stamp_all(sys, sol, ctx);
+    ckt_.stamp_all(sys, Solution(x), ctx);
     // gmin to ground on every node row keeps floating nodes solvable; the
     // diagonal slots are cached like any element's stamp positions.
     if (opt_.stamp_cache) {
@@ -354,14 +268,6 @@ TransientResult Engine::transient_adaptive(double t_stop, double dt_initial,
   std::size_t next_bp = 0;
   const double t_end_eps = 1e-9 * t_stop;
 
-  // Predictor-estimator history: the state and step size of the last
-  // accepted step, enough to extrapolate a linear predictor. The first
-  // step has no history and falls back to step doubling.
-  const bool use_pred = adaptive.estimator == LteEstimator::Predictor;
-  std::vector<double> x_prev;
-  double dt_prev = 0.0;
-  bool have_prev = false;
-
   while (t < t_stop - t_end_eps) {
     while (next_bp < bps.size() && bps[next_bp] <= t + bp_eps) ++next_bp;
     const double t_target = next_bp < bps.size() ? bps[next_bp] : t_stop;
@@ -384,84 +290,41 @@ TransientResult Engine::transient_adaptive(double t_stop, double dt_initial,
     ctx.kind = AnalysisKind::Transient;
     ctx.method = adaptive.method;
 
-    // Predictor estimator: a single Newton solve of the full step, judged
-    // against the explicit linear extrapolation from the previous accepted
-    // step. Milne device for the BE/extrapolation pair: with exact
-    // history, corr - exact = (dt^2/2) x'' and pred - exact =
-    // -(dt(dt + dt_prev)/2) x'', so corr - pred = (dt(2dt + dt_prev)/2)
-    // x'' and the weight dt/(2dt + dt_prev) recovers the corrector LTE.
-    const bool pred_step = use_pred && have_prev;
-    bool ok = true;
+    // Trial 1: one full step.
+    x_full = x;
+    ctx.t = t + dt_eff;
+    ctx.dt = dt_eff;
+    ctx.first_step = !has_history;
+    bool ok = solve(x_full, ctx, dim);
+
+    // Trial 2: two half steps (committing the midpoint so the second half
+    // sees its history).
+    x_half = x;
+    ctx.t = t + 0.5 * dt_eff;
+    ctx.dt = 0.5 * dt_eff;
+    ctx.first_step = !has_history;
+    ok = solve(x_half, ctx, dim) && ok;
+    commit_all(x_half, ctx);
+    has_history = true;
+    ctx.t = t + dt_eff;
+    ctx.first_step = false;
+    ok = solve(x_half, ctx, dim) && ok;
+
     double err = 0.0;
-    if (pred_step) {
-      x_half = x; // the accepted-solution buffer either way
-      ctx.t = t + dt_eff;
-      ctx.dt = dt_eff;
-      ctx.first_step = !has_history;
-      ok = solve(x_half, ctx, dim);
-      if (ok) {
-        const double r = dt_eff / dt_prev;
-        const double w = dt_eff / (2.0 * dt_eff + dt_prev);
-        for (std::size_t k = 0; k < dim; ++k) {
-          const double x_pred = x_saved[k] + r * (x_saved[k] - x_prev[k]);
-          const double scale =
-              adaptive.ltol_abs +
-              adaptive.ltol_rel *
-                  std::max(std::abs(x_half[k]), std::abs(x_saved[k]));
-          err = std::max(err, w * std::abs(x_half[k] - x_pred) / scale);
-        }
-      }
-    } else {
-      // Trial 1: one full step.
-      x_full = x;
-      ctx.t = t + dt_eff;
-      ctx.dt = dt_eff;
-      ctx.first_step = !has_history;
-      ok = solve(x_full, ctx, dim) && ok;
-
-      // Trial 2: two half steps (committing the midpoint so the second
-      // half sees its history).
-      x_half = x;
-      ctx.t = t + 0.5 * dt_eff;
-      ctx.dt = 0.5 * dt_eff;
-      ctx.first_step = !has_history;
-      ok = solve(x_half, ctx, dim) && ok;
-      commit_all(x_half, ctx);
-      has_history = true;
-      ctx.t = t + dt_eff;
-      ctx.first_step = false;
-      ok = solve(x_half, ctx, dim) && ok;
-
-      if (ok) {
-        for (std::size_t k = 0; k < dim; ++k) {
-          const double scale =
-              adaptive.ltol_abs +
-              adaptive.ltol_rel *
-                  std::max(std::abs(x_half[k]), std::abs(x_saved[k]));
-          err = std::max(err, std::abs(x_full[k] - x_half[k]) / scale);
-        }
+    if (ok) {
+      for (std::size_t k = 0; k < dim; ++k) {
+        const double scale =
+            adaptive.ltol_abs +
+            adaptive.ltol_rel *
+                std::max(std::abs(x_half[k]), std::abs(x_saved[k]));
+        err = std::max(err, std::abs(x_full[k] - x_half[k]) / scale);
       }
     }
 
     const bool at_floor = dt_eff <= dt_min * (1.0 + 1e-9);
-    // Landing on a source breakpoint puts a derivative corner at the new
-    // time point: the linear extrapolation across it is meaningless, so
-    // the predictor history is dropped and the next step falls back to
-    // step doubling (which never extrapolates).
-    const bool at_corner =
-        next_bp < bps.size() && t + dt_eff >= bps[next_bp] - bp_eps;
     if (ok && (err <= 1.0 || at_floor)) {
-      // Accept; commit the full step (predictor) or second half (doubling).
-      ctx.t = t + dt_eff;
-      ctx.dt = pred_step ? dt_eff : 0.5 * dt_eff;
-      ctx.first_step = pred_step ? !has_history : false;
+      // Accept; ctx still describes the second half step.
       commit_all(x_half, ctx);
-      has_history = true;
-      if (use_pred) {
-        x_prev = x_saved;
-        dt_prev = dt_eff;
-        have_prev = !at_corner;
-      }
       x = x_half;
       t += dt_eff;
       res.times_.push_back(t);
@@ -479,16 +342,7 @@ TransientResult Engine::transient_adaptive(double t_stop, double dt_initial,
       // Newton failed at the smallest allowed step: record the failure and
       // push through, exactly like the fixed-step loop does.
       res.converged_ = false;
-      ctx.t = t + dt_eff;
-      ctx.dt = pred_step ? dt_eff : 0.5 * dt_eff;
-      ctx.first_step = false;
       commit_all(x_half, ctx);
-      has_history = true;
-      if (use_pred) {
-        x_prev = x_saved;
-        dt_prev = dt_eff;
-        have_prev = !at_corner;
-      }
       x = x_half;
       t += dt_eff;
       res.times_.push_back(t);

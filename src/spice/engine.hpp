@@ -8,7 +8,6 @@
 // unless pinned by the options.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -39,35 +38,6 @@ struct EngineOptions {
   /// Sparse supernodal panels (SIMD rank-w column updates). Agrees with
   /// the scalar factorization to rounding; off is the scalar reference.
   bool supernodal = true;
-  /// Assembly sharding: stamp elements into per-shard slot-indexed buffers
-  /// on this many threads (1 = plain serial stamping, 0 = the global
-  /// pool's width). Combination order is fixed by shard index, so the
-  /// assembled values are bit-identical to the serial pass for circuits
-  /// whose stamp groups (Element::stamp_group) partition the matrix slots.
-  int assembly_threads = 1;
-  /// Hierarchical Schur-complement partitioning: when `partition` maps
-  /// every unknown to a block (>= 0) or the interface (-1) and the
-  /// resolved backend is sparse, the engine solves block interiors
-  /// independently and couples them through the dense interface system.
-  /// Agrees with the flat sparse solve to rounding.
-  bool partitioned = false;
-  std::vector<std::int32_t> partition; ///< unknown -> block id / -1
-  /// Concurrency of the Schur block phases (0 = the global pool's width,
-  /// 1 = serial, N = N threads). Bit-identical for every setting: blocks
-  /// compute independently and combine in block order.
-  int partition_threads = 0;
-};
-
-/// How Engine::transient_adaptive estimates the local truncation error.
-enum class LteEstimator {
-  /// One full step against two half steps (the half result is kept).
-  /// Three Newton solves per accepted step; the reference estimator.
-  StepDoubling,
-  /// Compare the corrector against the explicit linear predictor
-  /// extrapolated from the previous accepted step. One Newton solve per
-  /// accepted step (~2x cheaper than step doubling); the very first step
-  /// falls back to step doubling because no history exists yet.
-  Predictor,
 };
 
 /// Controller knobs of the adaptive transient (Engine::transient_adaptive).
@@ -85,8 +55,6 @@ struct AdaptiveOptions {
   /// tolerance and pins the controller at dt_min — pick it only for
   /// mildly stiff circuits where its second order pays off.
   Integrator method = Integrator::BackwardEuler;
-  /// Error estimator; step doubling is the A/B reference.
-  LteEstimator estimator = LteEstimator::StepDoubling;
 };
 
 /// DC solve outcome.
@@ -196,12 +164,6 @@ class Engine {
     return solver_ ? solver_->supernode_cols() : 0;
   }
 
-  /// The live backend, for white-box tests (nullptr before the first
-  /// solve).
-  [[nodiscard]] const LinearSolver* linear_solver() const {
-    return solver_.get();
-  }
-
  private:
   Circuit& ckt_;
   EngineOptions opt_;
@@ -218,23 +180,9 @@ class Engine {
   // Cached gmin diagonal slots (invalidated via the solver stamp epoch).
   GminSlotCache gmin_slots_;
 
-  // Sharded-assembly scratch: per-shard slot-value and rhs buffers plus
-  // the element -> shard map (rebuilt when the element count changes).
-  std::vector<std::vector<double>> shard_vals_;
-  std::vector<std::vector<double>> shard_rhs_;
-  std::vector<std::uint32_t> shard_of_elem_;
-  std::size_t shard_elem_count_ = 0;
-
   /// (Re)sizes the workspace for `dim` unknowns, creating the backend the
   /// options select for that dimension.
   void ensure_workspace(std::size_t dim);
-
-  /// Sharded element stamping into per-shard buffers, combined in shard
-  /// order. Returns false when any shard missed (cold caches / first pass
-  /// on a new pattern) — the caller restamps serially, which warms every
-  /// cache for the next attempt.
-  bool stamp_sharded(const Solution& sol, const StampContext& ctx,
-                     std::size_t dim, int threads);
 
   /// One Newton solve at the given context; x is in/out. Returns converged.
   bool solve(std::vector<double>& x, const StampContext& ctx,

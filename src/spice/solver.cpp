@@ -157,7 +157,6 @@ std::unique_ptr<LinearSolver> make_solver(const SolverOptions& options,
     s->set_ordering(options.ordering);
     s->set_partial_refactor(options.partial_refactor);
     s->set_supernodal(options.supernodal);
-    s->set_markowitz(options.markowitz);
     return s;
   }
   return std::make_unique<DenseSolver<double>>();
@@ -176,7 +175,6 @@ std::unique_ptr<AcLinearSolver> make_ac_solver(const SolverOptions& options,
     s->set_ordering(options.ordering);
     s->set_partial_refactor(options.partial_refactor);
     s->set_supernodal(options.supernodal);
-    s->set_markowitz(options.markowitz);
     return s;
   }
   return std::make_unique<DenseSolver<std::complex<double>>>();

@@ -95,16 +95,6 @@ class LinearSolverT {
   /// come from `this->slot()` under the current stamp epoch.
   virtual void add_slot(std::uint32_t slot, T v) = 0;
 
-  /// Read-only slot lookup: the handle of (i, j) if the position is
-  /// already in the pattern, kNoSlot otherwise. Never mutates the solver,
-  /// so concurrent calls are safe while no thread is inserting — the
-  /// lookup the sink-mode (sharded) assembly path uses. Backends without
-  /// slot storage return kNoSlot for everything.
-  [[nodiscard]] virtual std::uint32_t find_slot(std::size_t /*i*/,
-                                                std::size_t /*j*/) const {
-    return kNoSlot;
-  }
-
   /// Epoch of the slot address space: changes whenever previously returned
   /// handles become invalid (dimension reset). Monotonic and unique across
   /// all solver instances in the process.
@@ -128,22 +118,8 @@ class LinearSolverT {
   /// the recomputed suffix — the observable of the partial-refactor path.
   [[nodiscard]] virtual std::size_t factor_cols_total() const = 0;
 
-  /// Backend name for diagnostics ("dense" / "sparse" / "schur").
+  /// Backend name for diagnostics ("dense" / "sparse").
   [[nodiscard]] virtual const char* name() const = 0;
-
-  /// Number of accumulation slots of the current pattern, or 0 when the
-  /// backend has no stable slot-indexed storage. A non-zero count means
-  /// slot handles densely index [0, slot_count()) — the contract the
-  /// sharded (parallel) assembly path relies on to size its per-shard
-  /// accumulation buffers.
-  [[nodiscard]] virtual std::size_t slot_count() const { return 0; }
-
-  /// Slot-ordered values of the last stamping pass, or nullptr when the
-  /// backend has no such storage. Exposed for the parallel-assembly
-  /// bit-identity tests.
-  [[nodiscard]] virtual const std::vector<T>* assembled_values() const {
-    return nullptr;
-  }
 
   /// Supernodal panels of width >= 2 in the last factorization (0 for
   /// backends without the supernodal path).
@@ -174,10 +150,6 @@ struct SolverOptions {
   /// their updates through the SIMD rank-w kernel. Agrees with the scalar
   /// path to rounding (not bit-identical); off is the scalar reference.
   bool supernodal = true;
-  /// Sparse: Markowitz dynamic pivoting (right-looking, full factors).
-  /// Meant for the AC path, where the complex assembly changes every
-  /// value per frequency point anyway.
-  bool markowitz = false;
 };
 
 /// Creates the real-valued solver for a backend choice and dimension.

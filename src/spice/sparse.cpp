@@ -5,7 +5,6 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "util/simd.hpp"
@@ -436,13 +435,6 @@ void SparseSolverT<T>::set_supernodal(bool enabled) {
   // The two modes agree only to rounding, so a partial restart must never
   // reuse a prefix factored under the other mode.
   factor_valid_ = false;
-}
-
-template <typename T>
-void SparseSolverT<T>::set_markowitz(bool enabled) {
-  if (enabled == markowitz_) return;
-  markowitz_ = enabled;
-  factor_valid_ = false; // different pivot sequence: no prefix reuse
 }
 
 template <typename T>
@@ -1090,141 +1082,6 @@ bool SparseSolverT<T>::refactor_scattered(std::size_t first_dirty,
 }
 
 template <typename T>
-bool SparseSolverT<T>::factor_markowitz() {
-  const std::size_t n = dim_;
-  l_ptr_.assign(1, 0);
-  l_rows_.clear();
-  l_vals_.clear();
-  u_rows_.clear();
-  u_vals_.clear();
-  std::fill(pinv_.begin(), pinv_.end(), -1);
-  sn_start_.clear();
-  sn_width_.clear();
-  sn_of_col_.assign(n, 0);
-  sn_rows_ptr_.assign(1, 0);
-  sn_rows_.clear();
-  sn_panel_ptr_.clear();
-  sn_panel_vals_.clear();
-  sn_panels_multi_ = 0;
-  sn_cols_multi_ = 0;
-  last_factor_start_ = 0;
-  factor_cols_total_ += n;
-
-  // Active submatrix: row-wise hash maps (live columns only) plus lazy
-  // per-column row lists; colcnt_ tracks the exact live count so the
-  // Markowitz cost (rowcount-1)*(colcount-1) is cheap to evaluate.
-  std::vector<std::unordered_map<std::uint32_t, T>> arow(n);
-  std::vector<std::vector<std::uint32_t>> colrows(n);
-  std::vector<std::uint32_t> colcnt(n, 0);
-  for (std::uint32_t c = 0; c < n; ++c) {
-    for (std::uint32_t p = col_ptr_[c]; p < col_ptr_[c + 1]; ++p) {
-      const std::uint32_t r = row_ind_[p];
-      arow[r].emplace(c, csc_vals_[p]);
-      colrows[c].push_back(r);
-      ++colcnt[c];
-    }
-  }
-  std::vector<std::uint8_t> col_done(n, 0);
-  // U is accumulated per *column*: eliminating pivot t appends (t, value)
-  // to every live column of the pivot row, so each list ends up in
-  // ascending pivot order — exactly the layout the back-substitution
-  // expects once concatenated in final column order.
-  std::vector<std::vector<std::pair<std::uint32_t, T>>> ucol(n);
-  std::vector<std::pair<std::uint32_t, double>> cand; // (row, |value|)
-
-  for (std::size_t t = 0; t < n; ++t) {
-    // Pivot search: minimal Markowitz cost among entries within tol_ of
-    // their column max. Deterministic: columns ascending, rows in list
-    // order, strict improvement (or same cost with larger magnitude) wins.
-    std::size_t best_cost = std::numeric_limits<std::size_t>::max();
-    double best_mag = 0.0;
-    std::uint32_t bi = 0, bj = 0;
-    bool have = false;
-    for (std::uint32_t c = 0; c < n; ++c) {
-      if (col_done[c]) continue;
-      cand.clear();
-      double cmax = 0.0;
-      auto& list = colrows[c];
-      std::size_t live = 0;
-      for (const std::uint32_t r : list) {
-        const auto it = arow[r].find(c);
-        if (it == arow[r].end()) continue; // stale (eliminated row)
-        list[live++] = r; // compact in place, preserving order
-        const double m = std::abs(it->second);
-        cmax = std::max(cmax, m);
-        cand.emplace_back(r, m);
-      }
-      list.resize(live);
-      if (cmax < 1e-300) continue; // numerically empty column
-      const std::size_t ccnt = colcnt[c];
-      for (const auto& [r, m] : cand) {
-        if (m < tol_ * cmax || m == 0.0) continue;
-        const std::size_t cost = (arow[r].size() - 1) * (ccnt - 1);
-        if (!have || cost < best_cost ||
-            (cost == best_cost && m > best_mag)) {
-          best_cost = cost;
-          best_mag = m;
-          bi = r;
-          bj = c;
-          have = true;
-        }
-      }
-    }
-    if (!have) return false; // structurally or numerically singular
-
-    const T piv = arow[bi][bj];
-    q_[t] = bj;
-    prow_[t] = bi;
-    pinv_[bi] = static_cast<std::int32_t>(t);
-    diag_[t] = piv;
-    col_done[bj] = 1;
-
-    // U row t -> per-column lists; L column t from the live pivot column.
-    std::vector<std::pair<std::uint32_t, T>> urow;
-    urow.reserve(arow[bi].size());
-    for (const auto& [c, v] : arow[bi]) {
-      --colcnt[c];
-      if (c == bj) continue;
-      urow.emplace_back(c, v);
-      ucol[c].emplace_back(static_cast<std::uint32_t>(t), v);
-    }
-    for (const std::uint32_t r : colrows[bj]) {
-      if (r == bi) continue;
-      const auto it = arow[r].find(bj);
-      if (it == arow[r].end()) continue;
-      const T lv = it->second / piv;
-      arow[r].erase(it);
-      if (lv == T{}) continue;
-      l_rows_.push_back(r);
-      l_vals_.push_back(lv);
-      // Rank-1 update of row r; fill entries extend the column lists.
-      for (const auto& [c, u] : urow) {
-        const auto [it2, inserted] = arow[r].try_emplace(c, T{});
-        if (inserted) {
-          colrows[c].push_back(r);
-          ++colcnt[c];
-        }
-        it2->second -= lv * u;
-      }
-    }
-    l_ptr_.push_back(static_cast<std::uint32_t>(l_rows_.size()));
-    std::unordered_map<std::uint32_t, T>().swap(arow[bi]);
-  }
-
-  for (std::uint32_t k = 0; k < n; ++k) qpos_[q_[k]] = k;
-  u_ptr_.assign(1, 0);
-  for (std::size_t k = 0; k < n; ++k) {
-    for (const auto& [tt, v] : ucol[q_[k]]) {
-      u_rows_.push_back(tt);
-      u_vals_.push_back(v);
-    }
-    u_ptr_.push_back(static_cast<std::uint32_t>(u_rows_.size()));
-  }
-  ordering_used_ = "markowitz";
-  return true;
-}
-
-template <typename T>
 bool SparseSolverT<T>::solve(const std::vector<T>& b, std::vector<T>& x) {
   if (b.size() != dim_) {
     throw std::invalid_argument("SparseSolverT: rhs dimension mismatch");
@@ -1259,7 +1116,7 @@ bool SparseSolverT<T>::solve(const std::vector<T>& b, std::vector<T>& x) {
   }
 
   if (first_dirty != std::numeric_limits<std::size_t>::max()) {
-    const bool scatter_eligible = partial_ && factor_valid_ && !markowitz_;
+    const bool scatter_eligible = partial_ && factor_valid_;
     factor_valid_ = false;
     bool engaged = false;
     bool ok = false;
@@ -1275,7 +1132,7 @@ bool SparseSolverT<T>::solve(const std::vector<T>& b, std::vector<T>& x) {
         // restart must re-run it to keep partial == full bit-for-bit.
         start = sn_start_[sn_of_col_[start - 1]];
       }
-      ok = markowitz_ ? factor_markowitz() : factor(start);
+      ok = factor(start);
     }
     if (!ok) return false;
     cached_vals_ = csc_vals_;

@@ -58,16 +58,6 @@
 // supernodal setting remain bit-identical: restarts snap down to the
 // owning panel's first column (supernode-granular restarts), and every
 // reused prefix column — panels included — is byte-for-byte the stored one.
-//
-// Markowitz mode (AC path). `set_markowitz(true)` replaces the static-
-// order left-looking factorization with a right-looking elimination that
-// picks each pivot dynamically by minimal Markowitz cost
-// (rowcount-1)*(colcount-1) among entries within `pivot_tol` of their
-// column maximum. The complex-valued AC assembly destroys the real
-// pattern's structure (omega-scaled admittances), where a static fill
-// order chosen once can lose badly; dynamic pivoting repays the ordering
-// cost per factorization. Partial refactorization and supernodes do not
-// apply in this mode (every factor is a full one).
 #pragma once
 
 #include <cstddef>
@@ -127,22 +117,11 @@ class SparseSolverT final : public LinearSolverT<T> {
   /// invalidates the numeric factorization — the two modes produce
   /// rounding-level different factors, so mixing prefixes is not allowed.
   void set_supernodal(bool enabled);
-  /// Switches to Markowitz dynamic pivoting (right-looking elimination,
-  /// pivot by minimal (rowcount-1)*(colcount-1) within the magnitude
-  /// threshold). Off by default; meant for the AC path. Disables the
-  /// partial-refactorization and supernodal machinery while on.
-  void set_markowitz(bool enabled);
 
   void begin(std::size_t dim) override;
   void add(std::size_t i, std::size_t j, T v) override;
   [[nodiscard]] std::uint32_t slot(std::size_t i, std::size_t j) override;
   void add_slot(std::uint32_t slot, T v) override { vals_[slot] += v; }
-  [[nodiscard]] std::uint32_t find_slot(std::size_t i,
-                                        std::size_t j) const override {
-    const auto it = slot_of_.find((static_cast<std::uint64_t>(i) << 32) |
-                                  static_cast<std::uint64_t>(j));
-    return it == slot_of_.end() ? this->kNoSlot : it->second;
-  }
   [[nodiscard]] bool solve(const std::vector<T>& b,
                            std::vector<T>& x) override;
   [[nodiscard]] std::size_t dim() const override { return dim_; }
@@ -153,12 +132,6 @@ class SparseSolverT final : public LinearSolverT<T> {
     return factor_cols_total_;
   }
   [[nodiscard]] const char* name() const override { return "sparse"; }
-  [[nodiscard]] std::size_t slot_count() const override {
-    return vals_.size();
-  }
-  [[nodiscard]] const std::vector<T>* assembled_values() const override {
-    return &vals_;
-  }
   [[nodiscard]] std::size_t supernode_count() const override {
     return sn_panels_multi_;
   }
@@ -192,7 +165,6 @@ class SparseSolverT final : public LinearSolverT<T> {
   Ordering ordering_ = Ordering::Auto;
   bool partial_ = true;
   bool supernodal_ = true;
-  bool markowitz_ = false;
   std::size_t factor_count_ = 0;
   std::size_t factor_cols_total_ = 0;
   std::size_t scattered_cols_total_ = 0;
@@ -259,9 +231,6 @@ class SparseSolverT final : public LinearSolverT<T> {
   /// the L/U columns below `start`, which requires a complete valid
   /// factorization when `start > 0`.
   [[nodiscard]] bool factor(std::size_t start);
-  /// Right-looking factorization with Markowitz dynamic pivoting (always
-  /// a full factor; fills the same L/U/permutation arrays).
-  [[nodiscard]] bool factor_markowitz();
   /// Closes the open detection panel [s, e) and records it (dense copy
   /// for width >= 2).
   void close_panel(std::size_t s, std::size_t e);

@@ -95,28 +95,15 @@ TEST(ArrayCharacterization, SixtyFourBySixtyFourWriteSwitchesSparse) {
 TEST(ArrayCharacterization, SixtyFourFullFidelityBitlineGrid) {
   // Full fidelity: one RC segment per cell -> ~4.3k unknowns, a system
   // the dense backend cannot practically factor per Newton iteration.
-  // Past kSchurAutoDim the driver partitions per column automatically,
-  // so this lands on the hierarchical Schur backend.
   const mc::Pdk pdk;
   ArrayNetlistOptions o;
   o.segments = 0;
   const auto wr = mss::cells::characterize_array_write(
       pdk, o, mc::WriteDirection::ToAntiparallel, 6e-9);
   ASSERT_TRUE(wr.converged);
-  EXPECT_EQ(wr.backend, "schur");
-  EXPECT_GT(wr.dim, mss::cells::kSchurAutoDim);
+  EXPECT_EQ(wr.backend, "sparse");
+  EXPECT_GT(wr.dim, 4000u);
   EXPECT_TRUE(wr.switched);
-
-  // Forcing the partitioning off must land on the flat sparse backend
-  // with the same physical outcome.
-  ArrayNetlistOptions flat = o;
-  flat.partitioning = mss::cells::SchurMode::Off;
-  const auto wf = mss::cells::characterize_array_write(
-      pdk, flat, mc::WriteDirection::ToAntiparallel, 6e-9);
-  ASSERT_TRUE(wf.converged);
-  EXPECT_EQ(wf.backend, "sparse");
-  EXPECT_EQ(wf.switched, wr.switched);
-  EXPECT_NEAR(wf.t_switch, wr.t_switch, 0.2e-9);
 }
 
 TEST(ArrayCharacterization, ReadMarginPositiveAtArrayScale) {

@@ -31,7 +31,6 @@
 #include "spice/engine.hpp"
 #include "spice/mosfet.hpp"
 #include "spice/mtj_element.hpp"
-#include "spice/partition.hpp"
 #include "spice/solver.hpp"
 #include "spice/sparse.hpp"
 
@@ -641,104 +640,34 @@ TEST(SparseScatteredRefactor, RandomizedBitIdenticalUnderLocalUpdates) {
 }
 
 // ---------------------------------------------------------------------------
-// Schur partitioning (solver level)
+// Randomized equivalence: supernodal axis
 // ---------------------------------------------------------------------------
 
-TEST(SchurPartition, MatchesFlatSparseOnChunkedRandomSystems) {
-  // Arbitrary chunked block maps over random diagonally dominant systems:
-  // the demotion rule legalises every cross-chunk entry, so the Schur
-  // solve must agree with the flat sparse solve within rounding.
-  for (std::uint32_t seed = 1; seed <= 8; ++seed) {
-    std::mt19937 gen(seed * 7919u);
-    std::uniform_real_distribution<double> uv(0.5, 2.0);
-    const std::size_t n = 40 + 8 * seed;
-    std::vector<std::array<std::size_t, 2>> off;
-    for (std::size_t k = 0; k + 1 < n; ++k) off.push_back({k, k + 1});
-    for (std::size_t x = 0; x < n / 3; ++x) {
-      const std::size_t a = gen() % n, b = gen() % n;
-      if (a != b) off.push_back({a, b});
-    }
-    const auto stamp = [&](ms::LinearSolver& s) {
-      s.begin(n);
-      for (std::size_t k = 0; k < n; ++k) s.add(k, k, 8.0 + double(k % 5));
-      std::mt19937 vg(seed * 31u + 7u);
-      for (const auto& [a, b] : off) {
-        const double v = -uv(vg);
-        s.add(a, b, v);
-        s.add(b, a, v * 0.5);
-      }
-    };
-    ms::SchurSolver schur(ms::SchurSolver::chunk_partition(n, 8));
-    ms::SparseSolver flat;
-    stamp(schur);
-    stamp(flat);
-    std::vector<double> b(n), xs, xf;
-    for (std::size_t k = 0; k < n; ++k) b[k] = std::sin(double(k) + seed);
-    ASSERT_TRUE(schur.solve(b, xs)) << "seed " << seed;
-    ASSERT_TRUE(flat.solve(b, xf)) << "seed " << seed;
-    EXPECT_FALSE(schur.flat_fallback()) << "seed " << seed;
-    EXPECT_GT(schur.block_count(), 1u) << "seed " << seed;
-    for (std::size_t k = 0; k < n; ++k) {
-      ASSERT_NEAR(xs[k], xf[k], kTol) << "seed " << seed << " k " << k;
-    }
-    // Re-solve with one changed value: per-block dirty detection must
-    // still track the flat answer.
-    stamp(schur);
-    stamp(flat);
-    schur.add(n / 2, n / 2, 1.5);
-    flat.add(n / 2, n / 2, 1.5);
-    ASSERT_TRUE(schur.solve(b, xs));
-    ASSERT_TRUE(flat.solve(b, xf));
-    for (std::size_t k = 0; k < n; ++k) {
-      ASSERT_NEAR(xs[k], xf[k], kTol) << "resolve seed " << seed;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Randomized equivalence: supernodal / partitioned axes
-// ---------------------------------------------------------------------------
-
-TEST(RandomizedEquivalence, SupernodalAndPartitionedTransient) {
-  // {supernodal on/off} x {partitioned on/off} over a spread of the
-  // generated netlists (every 4th seed), against the scalar flat sparse
-  // reference at 1e-9. Partition maps are deliberately arbitrary chunks —
-  // the demotion rule has to make them valid.
+TEST(RandomizedEquivalence, SupernodalTransient) {
+  // {supernodal on/off} over a spread of the generated netlists (every 4th
+  // seed): the supernodal transient against the scalar sparse reference at
+  // 1e-9.
   constexpr double kDt = 20e-12;
   constexpr double kStop = 0.4e-9;
   for (std::uint32_t seed = 0; seed < kTotalSeeds; seed += 4) {
-    std::array<ms::TransientResult, 4> results;
-    for (std::size_t c = 0; c < 4; ++c) {
-      const bool supernodal = (c & 1u) != 0;
-      const bool partitioned = (c & 2u) != 0;
+    std::array<ms::TransientResult, 2> results;
+    for (std::size_t c = 0; c < 2; ++c) {
       auto ckt = random_netlist(seed);
       ms::EngineOptions o;
       o.solver = ms::SolverKind::Sparse;
-      o.supernodal = supernodal;
-      if (partitioned) {
-        const std::size_t dim = ckt.assign_unknowns();
-        o.partitioned = true;
-        o.partition = ms::SchurSolver::chunk_partition(dim, 12);
-      }
+      o.supernodal = c == 1;
       ms::Engine eng(ckt, o);
       results[c] = eng.transient(kStop, kDt);
       ASSERT_TRUE(results[c].converged()) << "config " << c << " seed "
                                           << seed;
-      if (partitioned) {
-        EXPECT_STREQ(eng.solver_backend(), "schur") << "seed " << seed;
-      }
       ASSERT_EQ(results[c].size(), results[0].size());
     }
     auto ref_ckt = random_netlist(seed);
     for (std::size_t n = 0; n < ref_ckt.node_count(); ++n) {
       const auto& name = ref_ckt.node_name(n);
       for (std::size_t k = 0; k < results[0].size(); ++k) {
-        const double ref = results[0].v(name, k);
-        for (std::size_t c = 1; c < 4; ++c) {
-          ASSERT_NEAR(results[c].v(name, k), ref, kTol)
-              << "config " << c << " node " << name << " step " << k
-              << " seed " << seed;
-        }
+        ASSERT_NEAR(results[1].v(name, k), results[0].v(name, k), kTol)
+            << "node " << name << " step " << k << " seed " << seed;
       }
     }
   }

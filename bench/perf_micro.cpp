@@ -8,11 +8,11 @@
 // snapshot —
 //   ./bench_perf_micro --benchmark_format=json > BENCH_$(git rev-parse --short HEAD).json
 // Thread scaling of the parallel kernels is the `/threads:N` suffix of
-// BM_VaetMonteCarlo, BM_LlgThermalEnsemble, BM_NvsimExplore (the
-// SPICE-calibrated organisation sweep through sweep::Runner) and
-// BM_MagpieScenarioSweep (the kernel x scenario crossed sweep); real_time
-// is the metric that must shrink with N, and every N reports bit-identical
-// results.
+// BM_VaetMonteCarlo, BM_LlgThermalEnsemble and BM_MagpieScenarioSweep
+// (the kernel x scenario crossed sweep); real_time is the metric that must
+// shrink with N, and every N reports bit-identical results.
+// BM_NvsimExplore also takes `/threads:N`, but its parallel work is two
+// tasks, so its rows track the call's cost rather than pool scaling.
 // MNA backend scaling is the `/dim:N` suffix of BM_SpiceSparseTransient /
 // BM_SpiceDenseTransient: per-step real_time over the matrix dimension
 // (sparse must scale sub-quadratically, dense goes quadratic once past the
@@ -365,11 +365,13 @@ BENCHMARK(BM_VaetMonteCarloSimd)
     ->ArgName("width")
     ->UseRealTime();
 
-// SPICE-calibrated organisation exploration through sweep::Runner at an
-// explicit thread count: ~18 (mats, rows) candidates, each an array-scale
-// write+read characterisation on the sparse MNA backend. The /threads:1
-// row is the serial baseline of the speedup criterion; every row returns
-// bit-identical candidate lists.
+// SPICE-calibrated organisation exploration at an explicit thread count:
+// ~18 (mats, rows) candidates that all clamp to one 16x16 array, so the
+// call is one write-transient task and one read-characterisation task on
+// the sparse MNA backend, then analytic per-candidate estimates through
+// sweep::Runner. The rows time the whole call; with two tasks they do not
+// measure pool scaling past 2 threads. Every row returns bit-identical
+// candidate lists.
 void BM_NvsimExplore(benchmark::State& state) {
   const auto pdk = mss::core::Pdk::mss45();
   mss::nvsim::ExploreOptions opt;

@@ -10,7 +10,11 @@ Compares `real_time` of every benchmark present in both snapshots whose
 name contains one of the family markers (default: the /dim:N, /threads:N,
 /width:N, /rows:N, /wer:N and /cache:N families — matrix-dimension,
 thread-count, SIMD-batch-width, array-row, write-error-rate and
-persistent-result-cache scaling respectively).
+persistent-result-cache scaling respectively). A snapshot recorded with
+`--benchmark_repetitions` (scripts/bench_snapshot.sh records 3) is read
+through each benchmark's `median` aggregate, which damps the run-to-run
+noise of a shared host; a snapshot without aggregates is read through
+its single iteration row, so older baselines still compare.
 
 Benchmark names are canonicalised before any matching: google-benchmark
 appends *run options* to the name (`/min_time:2.000`, `/real_time`,
@@ -78,7 +82,12 @@ def canonical(name):
 
 def load(path):
     """Canonical benchmark name -> real_time [ns], plus context.num_cpus
-    (None when the snapshot does not record it)."""
+    (None when the snapshot does not record it).
+
+    A snapshot recorded with repetitions carries one iteration row per
+    repetition plus mean/median/stddev/cv aggregates; the benchmark's
+    `median` aggregate is used. A single-run snapshot has iteration rows
+    only, and each row is used as it is."""
     try:
         with open(path) as f:
             data = json.load(f)
@@ -87,15 +96,24 @@ def load(path):
     except json.JSONDecodeError as e:
         raise SystemExit(f"error: '{path}' is not valid JSON ({e})")
     out = {}
+    medians = {}
     for bench in data.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
+        is_aggregate = bench.get("run_type") == "aggregate"
+        if is_aggregate and bench.get("aggregate_name") != "median":
             continue
         unit = bench.get("time_unit", "ns")
         if unit not in _UNIT_NS:
             raise SystemExit(f"{path}: unknown time_unit '{unit}' "
                              f"for {bench['name']}")
-        out[canonical(bench["name"])] = \
-            float(bench["real_time"]) * _UNIT_NS[unit]
+        real_time = float(bench["real_time"]) * _UNIT_NS[unit]
+        if is_aggregate:
+            # Aggregate rows are named `<run_name>_median`.
+            name = bench.get("run_name",
+                             bench["name"].removesuffix("_median"))
+            medians[canonical(name)] = real_time
+        else:
+            out[canonical(bench["name"])] = real_time
+    out.update(medians)
     return out, data.get("context", {}).get("num_cpus")
 
 

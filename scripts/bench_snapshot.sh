@@ -48,7 +48,10 @@ FLAGS_ALL="${FLAGS_ALL//=/:}"
 
 REV="$(git rev-parse --short HEAD)"
 OUT="BENCH_${REV}.json"
+# Three repetitions per benchmark: bench_diff.py compares their median,
+# which single runs on a shared host cannot give.
 ARGS=(--benchmark_format=json
+      --benchmark_repetitions=3
       "--benchmark_context=compiler=${COMPILER//=/:}"
       "--benchmark_context=cxx_flags=${FLAGS_ALL}"
       "--benchmark_context=mss_native=${NATIVE:-OFF}")

@@ -25,6 +25,28 @@ def snapshot(benchmarks, num_cpus=None):
     return data
 
 
+def repeated_snapshot(benchmarks, num_cpus=None):
+    """A `--benchmark_repetitions` snapshot: name -> per-repetition
+    real_times, written as iteration rows plus mean/median aggregates the
+    way google-benchmark emits them."""
+    rows = []
+    for name, times in benchmarks.items():
+        for i, rt in enumerate(times):
+            rows.append({"name": name, "run_name": name,
+                         "run_type": "iteration", "repetition_index": i,
+                         "real_time": rt, "time_unit": "ns"})
+        ordered = sorted(times)
+        for agg, rt in (("mean", sum(times) / len(times)),
+                        ("median", ordered[len(ordered) // 2])):
+            rows.append({"name": f"{name}_{agg}", "run_name": name,
+                         "run_type": "aggregate", "aggregate_name": agg,
+                         "real_time": rt, "time_unit": "ns"})
+    data = {"benchmarks": rows}
+    if num_cpus is not None:
+        data["context"] = {"num_cpus": num_cpus}
+    return data
+
+
 class BenchDiffTest(unittest.TestCase):
     def setUp(self):
         self.tmp = tempfile.TemporaryDirectory()
@@ -292,6 +314,34 @@ class BenchDiffTest(unittest.TestCase):
             {"name": "BM_X/dim:64", "real_time": 0.1, "time_unit": "us"}]}
         cur = self.write("cur.json", cur_data)
         self.assertEqual(self.run_diff(base, cur), 0)
+
+
+    def test_repeated_snapshot_compares_the_median(self):
+        # The last repetition is an outlier (and drags the mean past the
+        # tolerance); the median of the three is within it.
+        base = self.write("base.json", repeated_snapshot(
+            {"BM_X/dim:64/real_time": [100.0, 101.0, 99.0]}))
+        cur = self.write("cur.json", repeated_snapshot(
+            {"BM_X/dim:64/real_time": [104.0, 103.0, 400.0]}))
+        loaded, _ = bench_diff.load(cur)
+        self.assertEqual(loaded, {"BM_X/dim:64": 104.0})
+        self.assertEqual(self.run_diff(base, cur), 0)
+        worse = self.write("worse.json", repeated_snapshot(
+            {"BM_X/dim:64/real_time": [400.0, 130.0, 390.0]}))
+        self.assertEqual(self.run_diff(base, worse), 1)
+
+    def test_single_run_baseline_against_repeated_snapshot(self):
+        # An old single-run baseline is read through its iteration row and
+        # still compares against a median snapshot, in both directions.
+        old = self.write("old.json", snapshot({"BM_X/dim:64": 100.0}))
+        new = self.write("new.json", repeated_snapshot(
+            {"BM_X/dim:64": [300.0, 110.0, 105.0]}))
+        self.assertEqual(bench_diff.load(old)[0], {"BM_X/dim:64": 100.0})
+        self.assertEqual(self.run_diff(old, new), 0)
+        self.assertEqual(self.run_diff(new, old), 0)
+        slow = self.write("slow.json", repeated_snapshot(
+            {"BM_X/dim:64": [130.0, 135.0, 90.0]}))
+        self.assertEqual(self.run_diff(old, slow), 1)
 
 
 if __name__ == "__main__":

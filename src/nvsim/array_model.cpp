@@ -2,6 +2,7 @@
 
 #include "cells/characterization.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -154,32 +155,61 @@ MemoryEstimate ArrayModel::estimate_with(double t_mtj_switch, double i_write,
   return est;
 }
 
-MemoryEstimate ArrayModel::estimate_spice(std::size_t max_rows,
-                                          std::size_t max_cols) const {
+MemoryEstimate ArrayModel::estimate_with(const SpiceCalibration& cal) const {
+  return estimate_with(cal.t_switch, cal.i_write, cal.delta_i, sense_margin());
+}
+
+std::pair<std::size_t, std::size_t> ArrayModel::spice_clamp(
+    std::size_t max_rows, std::size_t max_cols) const {
+  return {std::min(org_.rows, max_rows), std::min(org_.cols, max_cols)};
+}
+
+namespace {
+cells::ArrayNetlistOptions spice_netlist_options(
+    std::pair<std::size_t, std::size_t> clamp) {
   cells::ArrayNetlistOptions o;
-  o.rows = std::min(org_.rows, max_rows);
-  o.cols = std::min(org_.cols, max_cols);
+  o.rows = clamp.first;
+  o.cols = clamp.second;
   o.target_row = o.rows - 1; // far end of the bitline: worst-case RC
   o.cell_width_f = kCellWidthF;
   o.cell_height_f = kCellHeightF;
   o.c_cell_drain = kCellDrainCapF;
   o.c_cell_gate = kCellGateCapF;
+  return o;
+}
+} // namespace
 
+SpiceCalibration ArrayModel::calibrate_spice(std::size_t max_rows,
+                                             std::size_t max_cols) const {
+  SpiceCalibration cal;
+  calibrate_spice_write(cal, max_rows, max_cols);
+  calibrate_spice_read(cal, max_rows, max_cols);
+  return cal;
+}
+
+void ArrayModel::calibrate_spice_write(SpiceCalibration& cal,
+                                       std::size_t max_rows,
+                                       std::size_t max_cols) const {
   // Worse (P -> AP) direction write; generous pulse so the flip is
   // observed rather than assumed.
   const double pulse = std::max(3.0 * cell_.t_switch, 2e-9);
   const auto wr = cells::characterize_array_write(
-      pdk_, o, core::WriteDirection::ToAntiparallel, pulse);
-  const auto rd = cells::characterize_array_read(pdk_, o, 2e-9);
-
-  const double t_sw = wr.switched ? wr.t_switch : cell_.t_switch;
+      pdk_, spice_netlist_options(spice_clamp(max_rows, max_cols)),
+      core::WriteDirection::ToAntiparallel, pulse);
+  cal.t_switch = wr.switched ? wr.t_switch : cell_.t_switch;
   // Only trust the extracted current when the flip happened: on a failed
   // write i_settled degenerates to post-pulse leakage, not a write current.
-  const double i_w =
-      wr.switched && wr.i_settled > 0.0 ? wr.i_settled : cell_.i_write;
-  const double di = rd.delta_i > 0.0 ? rd.delta_i
-                                     : (cell_.i_read_p - cell_.i_read_ap);
-  return estimate_with(t_sw, i_w, di, sense_margin());
+  cal.i_write = wr.switched && wr.i_settled > 0.0 ? wr.i_settled
+                                                  : cell_.i_write;
+}
+
+void ArrayModel::calibrate_spice_read(SpiceCalibration& cal,
+                                      std::size_t max_rows,
+                                      std::size_t max_cols) const {
+  const auto rd = cells::characterize_array_read(
+      pdk_, spice_netlist_options(spice_clamp(max_rows, max_cols)), 2e-9);
+  cal.delta_i = rd.delta_i > 0.0 ? rd.delta_i
+                                 : (cell_.i_read_p - cell_.i_read_ap);
 }
 
 } // namespace mss::nvsim

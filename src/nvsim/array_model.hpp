@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 
 #include "core/pdk.hpp"
 
@@ -88,6 +89,15 @@ struct MemoryEstimate {
   double e_mtj_write = 0.0;
 };
 
+/// Cell quantities extracted by a clamped array-scale SPICE
+/// characterisation (ArrayModel::calibrate_spice), with the analytic
+/// fallbacks already applied.
+struct SpiceCalibration {
+  double t_switch = 0.0; ///< MTJ switching time [s] (write transient)
+  double i_write = 0.0;  ///< write current [A] (write transient)
+  double delta_i = 0.0;  ///< read margin current [A] (read transients)
+};
+
 /// The array estimator.
 class ArrayModel {
  public:
@@ -108,14 +118,42 @@ class ArrayModel {
                                              double delta_i_sense,
                                              double sense_margin_v) const;
 
-  /// SPICE-calibrated estimate: runs array-scale write and read transients
-  /// (cells::characterize_array_*, sparse MNA backend) on this organisation
-  /// — clamped to `max_rows` x `max_cols` cells to bound simulation cost —
-  /// and replaces the analytic switching time, write current, and read
-  /// margin with the extracted values. The wordline/bitline RC the analytic
-  /// Elmore terms approximate is simulated explicitly in the netlist.
+  /// Estimate with the cell behaviour a SPICE calibration extracted and
+  /// the nominal sense margin.
+  [[nodiscard]] MemoryEstimate estimate_with(const SpiceCalibration& cal) const;
+
+  /// The array a SPICE calibration simulates: this organisation clamped to
+  /// `max_rows` x `max_cols` cells, as (rows, cols). The clamped netlist
+  /// depends only on these two counts, the fixed cell constants and the
+  /// PDK (which also sets the write pulse through the cell's t_switch), so
+  /// two models of one PDK with equal clamps calibrate identically.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> spice_clamp(
+      std::size_t max_rows, std::size_t max_cols) const;
+
+  /// Array-scale SPICE calibration (cells::characterize_array_*, sparse
+  /// MNA backend) of spice_clamp(max_rows, max_cols): the worse-direction
+  /// write transient yields the switching time and write current, the read
+  /// characterisation the margin current. The wordline/bitline RC the
+  /// analytic Elmore terms approximate is simulated explicitly. Its two
+  /// halves below are independent and fill disjoint fields, so a caller
+  /// may run them concurrently.
+  [[nodiscard]] SpiceCalibration calibrate_spice(std::size_t max_rows,
+                                                 std::size_t max_cols) const;
+  /// Write half of calibrate_spice(): sets cal.t_switch and cal.i_write.
+  void calibrate_spice_write(SpiceCalibration& cal, std::size_t max_rows,
+                             std::size_t max_cols) const;
+  /// Read half of calibrate_spice(): sets cal.delta_i.
+  void calibrate_spice_read(SpiceCalibration& cal, std::size_t max_rows,
+                            std::size_t max_cols) const;
+
+  /// SPICE-calibrated estimate of this one organisation:
+  /// estimate_with(calibrate_spice(max_rows, max_cols)). Sweeps over many
+  /// organisations (nvsim::explore) calibrate each distinct clamp once
+  /// instead.
   [[nodiscard]] MemoryEstimate estimate_spice(std::size_t max_rows = 64,
-                                              std::size_t max_cols = 64) const;
+                                              std::size_t max_cols = 64) const {
+    return estimate_with(calibrate_spice(max_rows, max_cols));
+  }
 
   /// Derived geometry/RC view.
   [[nodiscard]] const ArrayGeometry& geometry() const { return geom_; }

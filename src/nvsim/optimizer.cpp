@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "sweep/experiment.hpp"
+#include "util/parallel.hpp"
 
 namespace mss::nvsim {
 
@@ -87,23 +88,62 @@ std::vector<Candidate> explore(const core::Pdk& pdk,
                                const ExploreOptions& options) {
   const auto space =
       organisation_space(capacity_bits, word_bits, options.mats);
+  const auto org_of = [&](const sweep::Point& p) {
+    const auto m = std::size_t(p.integer("mats"));
+    const auto rows = std::size_t(p.integer("rows"));
+    return ArrayOrg{rows, capacity_bits / m / rows, word_bits / m};
+  };
+
+  // SPICE calibration runs before the Runner, once per distinct clamp
+  // (first-seen order): models with equal clamps calibrate identically
+  // (ArrayModel::spice_clamp), and the organisations of a space usually
+  // share one. Each clamp's write transient and read characterisation are
+  // two independent tasks filling disjoint fields of its slot.
+  std::vector<std::pair<std::size_t, std::size_t>> clamps;
+  std::vector<ArrayModel> clamp_models;
+  std::vector<std::size_t> clamp_of(space.size()); // point -> clamp slot
+  std::vector<SpiceCalibration> cals;
+  if (options.spice_calibrate) {
+    for (std::size_t i = 0; i < space.size(); ++i) {
+      const ArrayModel model(pdk, org_of(space.at(i)));
+      const auto clamp =
+          model.spice_clamp(options.spice_rows, options.spice_cols);
+      const auto it = std::find(clamps.begin(), clamps.end(), clamp);
+      clamp_of[i] = std::size_t(it - clamps.begin());
+      if (it == clamps.end()) {
+        clamps.push_back(clamp);
+        clamp_models.push_back(model);
+      }
+    }
+    cals.resize(clamps.size());
+    util::ThreadPool::run_with(
+        options.threads, 2 * clamps.size(), 1,
+        [&](std::size_t, std::size_t b, std::size_t e) {
+          for (std::size_t t = b; t < e; ++t) {
+            const ArrayModel& model = clamp_models[t / 2];
+            if (t % 2 == 0) {
+              model.calibrate_spice_write(cals[t / 2], options.spice_rows,
+                                          options.spice_cols);
+            } else {
+              model.calibrate_spice_read(cals[t / 2], options.spice_rows,
+                                         options.spice_cols);
+            }
+          }
+        });
+  }
 
   const auto exp = sweep::make_experiment(
       "nvsim-explore",
       [&](const sweep::Point& p, util::Rng&) -> Candidate {
-        const auto m = std::size_t(p.integer("mats"));
-        const auto rows = std::size_t(p.integer("rows"));
         Candidate cand;
-        cand.mats = m;
-        cand.org.rows = rows;
-        cand.org.cols = capacity_bits / m / rows;
-        cand.org.word_bits = word_bits / m;
+        cand.mats = std::size_t(p.integer("mats"));
+        cand.org = org_of(p);
         const ArrayModel model(pdk, cand.org);
         const MemoryEstimate per_mat =
             options.spice_calibrate
-                ? model.estimate_spice(options.spice_rows, options.spice_cols)
+                ? model.estimate_with(cals[clamp_of[p.index()]])
                 : model.estimate();
-        cand.estimate = scale_to_mats(per_mat, m);
+        cand.estimate = scale_to_mats(per_mat, cand.mats);
         cand.objective = objective_of(goal, cand.estimate);
         return cand;
       });

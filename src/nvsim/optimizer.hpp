@@ -6,9 +6,10 @@
 // The exploration is declarative: organisation_space() enumerates every
 // feasible (mats, rows) organisation as a sweep::ParamSpace and explore()
 // evaluates it through sweep::Runner — in parallel across the thread
-// pool, bit-identical for any thread count. Optionally each candidate is
-// calibrated with an array-scale SPICE characterisation (the sparse-MNA
-// backend) instead of the analytic Elmore model.
+// pool, bit-identical for any thread count. Optionally the candidates are
+// calibrated with array-scale SPICE characterisations (the sparse-MNA
+// backend) instead of the analytic cell model: one per distinct clamped
+// array, run before the per-candidate estimates.
 #pragma once
 
 #include <optional>
@@ -47,10 +48,13 @@ struct ExploreOptions {
   /// word_bits/m bits. m must divide both; infeasible degrees are skipped.
   std::vector<std::size_t> mats = {1};
   /// Calibrate every candidate with an array-scale SPICE write/read
-  /// characterisation (cells::characterize_array_*, sparse MNA backend)
+  /// characterisation (ArrayModel::calibrate_spice, sparse MNA backend)
   /// clamped to spice_rows x spice_cols cells, instead of the analytic
-  /// cell model. Deterministic, but orders of magnitude heavier per point
-  /// — the case the parallel Runner exists for.
+  /// cell model. Each distinct clamp is characterised once per call — its
+  /// write transient and read characterisation as two parallel tasks under
+  /// `threads` — and nothing is kept across calls; the per-candidate
+  /// estimates stay analytic. Deterministic, and bit-identical to
+  /// ArrayModel::estimate_spice of each candidate.
   bool spice_calibrate = false;
   std::size_t spice_rows = 16;
   std::size_t spice_cols = 16;

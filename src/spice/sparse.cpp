@@ -547,11 +547,6 @@ void SparseSolverT<T>::rebuild_symbolic() {
 }
 
 template <typename T>
-std::size_t SparseSolverT<T>::factor_nnz() const {
-  return l_rows_.size() + u_rows_.size() + dim_; // + unit/diag entries
-}
-
-template <typename T>
 bool SparseSolverT<T>::factor(std::size_t start) {
   const std::size_t n = dim_;
   if (start == 0) {

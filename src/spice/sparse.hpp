@@ -139,10 +139,6 @@ class SparseSolverT final : public LinearSolverT<T> {
     return sn_cols_multi_;
   }
 
-  /// Structural nonzeros of the assembled pattern.
-  [[nodiscard]] std::size_t nnz() const { return slot_row_.size(); }
-  /// nnz(L) + nnz(U) of the last factorization (diagonals included).
-  [[nodiscard]] std::size_t factor_nnz() const;
   /// Ordering the current symbolic structure uses ("rcm" / "amd" /
   /// "natural"; "none" before the first rebuild).
   [[nodiscard]] const char* ordering_used() const { return ordering_used_; }

@@ -3,6 +3,7 @@
 #include "nvsim/optimizer.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -213,4 +214,100 @@ TEST(Optimizer, RejectsZeroCapacity) {
   const auto pdk = mss::core::Pdk::mss45();
   EXPECT_THROW((void)mn::explore(pdk, 0, 64, mn::Goal::Area),
                std::invalid_argument);
+}
+
+namespace {
+void expect_same_estimate(const mn::MemoryEstimate& a,
+                          const mn::MemoryEstimate& b) {
+  EXPECT_EQ(a.read_latency, b.read_latency);
+  EXPECT_EQ(a.write_latency, b.write_latency);
+  EXPECT_EQ(a.read_energy, b.read_energy);
+  EXPECT_EQ(a.write_energy, b.write_energy);
+  EXPECT_EQ(a.leakage_power, b.leakage_power);
+  EXPECT_EQ(a.area, b.area);
+  EXPECT_EQ(a.t_decoder, b.t_decoder);
+  EXPECT_EQ(a.t_wordline, b.t_wordline);
+  EXPECT_EQ(a.t_bitline, b.t_bitline);
+  EXPECT_EQ(a.t_senseamp, b.t_senseamp);
+  EXPECT_EQ(a.t_driver, b.t_driver);
+  EXPECT_EQ(a.t_mtj_switch, b.t_mtj_switch);
+  EXPECT_EQ(a.e_decoder, b.e_decoder);
+  EXPECT_EQ(a.e_wordline, b.e_wordline);
+  EXPECT_EQ(a.e_bitline_read, b.e_bitline_read);
+  EXPECT_EQ(a.e_senseamp, b.e_senseamp);
+  EXPECT_EQ(a.e_bitline_write, b.e_bitline_write);
+  EXPECT_EQ(a.e_mtj_write, b.e_mtj_write);
+}
+
+mn::ExploreOptions spice_options(std::size_t rows, std::size_t cols,
+                                 std::size_t threads) {
+  mn::ExploreOptions opt;
+  opt.spice_calibrate = true;
+  opt.spice_rows = rows;
+  opt.spice_cols = cols;
+  opt.threads = threads;
+  return opt;
+}
+} // namespace
+
+// SPICE-calibrated explore characterises each distinct clamp once per
+// call, before the Runner; every candidate must still equal its own
+// single-organisation estimate_spice bit for bit.
+TEST(Optimizer, SpiceExploreMatchesPerCandidateEstimateSpice) {
+  const auto pdk = mss::core::Pdk::mss45();
+  const auto opt = spice_options(8, 8, 3);
+  const auto cands =
+      mn::explore(pdk, 1u << 20, 512, mn::Goal::ReadLatency, opt);
+  ASSERT_GT(cands.size(), 1u);
+  for (const auto& c : cands) {
+    SCOPED_TRACE(c.org.rows);
+    expect_same_estimate(c.estimate, mn::ArrayModel(pdk, c.org).estimate_spice(
+                                         opt.spice_rows, opt.spice_cols));
+  }
+}
+
+TEST(Optimizer, SpiceExploreBitIdenticalForAnyThreadCount) {
+  const auto pdk = mss::core::Pdk::mss45();
+  auto opt = spice_options(8, 8, 1);
+  opt.mats = {1, 2, 4};
+  const auto ref = mn::explore(pdk, 1u << 20, 512, mn::Goal::ReadEdp, opt);
+  ASSERT_GT(ref.size(), 4u);
+  for (const std::size_t threads : {3u, 0u}) {
+    SCOPED_TRACE(threads);
+    opt.threads = threads;
+    const auto got = mn::explore(pdk, 1u << 20, 512, mn::Goal::ReadEdp, opt);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].mats, ref[i].mats);
+      EXPECT_EQ(got[i].org.rows, ref[i].org.rows);
+      EXPECT_EQ(got[i].objective, ref[i].objective);
+      expect_same_estimate(got[i].estimate, ref[i].estimate);
+    }
+  }
+}
+
+// 8 Kib with an 8-bit word: organisations 64x128, 128x64 and 256x32. A
+// 4x48 clamp maps them to (4, 48), (4, 48) and (4, 32) — two distinct
+// calibrations, one of them shared.
+TEST(Optimizer, SpiceExploreWithSeveralClampsMatchesPerCandidate) {
+  const auto pdk = mss::core::Pdk::mss45();
+  for (const std::size_t threads : {1u, 3u, 0u}) {
+    SCOPED_TRACE(threads);
+    const auto opt = spice_options(4, 48, threads);
+    const auto cands =
+        mn::explore(pdk, 1u << 13, 8, mn::Goal::WriteLatency, opt);
+    ASSERT_EQ(cands.size(), 3u);
+    std::vector<std::pair<std::size_t, std::size_t>> clamps;
+    for (const auto& c : cands) {
+      SCOPED_TRACE(c.org.rows);
+      const mn::ArrayModel model(pdk, c.org);
+      const auto clamp = model.spice_clamp(opt.spice_rows, opt.spice_cols);
+      if (std::find(clamps.begin(), clamps.end(), clamp) == clamps.end()) {
+        clamps.push_back(clamp);
+      }
+      expect_same_estimate(
+          c.estimate, model.estimate_spice(opt.spice_rows, opt.spice_cols));
+    }
+    EXPECT_EQ(clamps.size(), 2u);
+  }
 }

@@ -595,6 +595,29 @@ BENCHMARK(BM_SweepCachedRerun)
     ->Arg(1)
     ->UseRealTime();
 
+// First-row cost of a fully cached job (the mss-server warm-rerun path):
+// constructing a StripedRun over a 1024-point demo.mc_tail space whose
+// rows are all cached, plus its first step() at the server's default
+// chunk and stripe sizes. Set-up is per stripe, so this tracks the
+// stripe (8 lookups), not the 1024-point space.
+void BM_StripedRunWarmFirstStripe(benchmark::State& state) {
+  const auto exp = mss::server::demo_mc_tail_experiment();
+  std::vector<std::int64_t> samples;
+  for (std::int64_t s = 8; s < 24; ++s) samples.push_back(s);
+  mss::sweep::ParamSpace space;
+  space.cross(mss::sweep::Axis::list("samples", std::move(samples)))
+      .cross(mss::sweep::Axis::linear("threshold", 0.0, 3.0, 64));
+  const mss::server::ExecOptions opt; // chunk 1, stripe 8: server defaults
+  mss::server::ResultCache cache("");
+  (void)mss::server::run_cached(exp, space, opt, &cache, nullptr, nullptr);
+  for (auto _ : state) {
+    mss::server::StripedRun run(exp, space, opt, &cache);
+    run.step();
+    benchmark::DoNotOptimize(run.stats().cache_hits);
+  }
+}
+BENCHMARK(BM_StripedRunWarmFirstStripe)->Unit(benchmark::kMicrosecond);
+
 void BM_NormalIsfDeepTail(benchmark::State& state) {
   double q = 1e-20;
   for (auto _ : state) {

@@ -90,19 +90,25 @@ bool bit_equal(const sweep::Value& a, const sweep::Value& b) {
 
 } // namespace
 
-std::string cache_key(const std::string& experiment_id,
-                      std::uint32_t experiment_version, std::uint64_t seed,
-                      const std::string& point_key) {
+std::string cache_key_prefix(const std::string& experiment_id,
+                             std::uint32_t experiment_version,
+                             std::uint64_t seed) {
   std::string key;
-  key.reserve(experiment_id.size() + point_key.size() + 32);
+  key.reserve(experiment_id.size() + 32);
   key += experiment_id;
   key += '\x1f';
   key += std::to_string(experiment_version);
   key += '\x1f';
   key += std::to_string(seed);
   key += '\x1f';
-  key += point_key;
   return key;
+}
+
+std::string cache_key(const std::string& experiment_id,
+                      std::uint32_t experiment_version, std::uint64_t seed,
+                      const std::string& point_key) {
+  return cache_key_prefix(experiment_id, experiment_version, seed) +
+         point_key;
 }
 
 ResultCache::ResultCache(const std::string& path, CacheOptions options)

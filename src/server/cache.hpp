@@ -54,10 +54,17 @@
 
 namespace mss::server {
 
-/// Composes the full cache key. `point_key` is Point::key() — injective
-/// over coordinates — and the 0x1F unit separators cannot appear unescaped
-/// inside any component, so distinct (experiment, version, seed, point)
-/// tuples never collide.
+/// The run-constant head of every cache key of one (experiment, version,
+/// seed) identity: `id 0x1F version 0x1F seed 0x1F`. A run builds it once
+/// and appends each Point::key() to it.
+[[nodiscard]] std::string cache_key_prefix(const std::string& experiment_id,
+                                           std::uint32_t experiment_version,
+                                           std::uint64_t seed);
+
+/// Composes the full cache key: cache_key_prefix() + `point_key`.
+/// `point_key` is Point::key() — injective over coordinates — and the 0x1F
+/// unit separators cannot appear unescaped inside any component, so
+/// distinct (experiment, version, seed, point) tuples never collide.
 [[nodiscard]] std::string cache_key(const std::string& experiment_id,
                                     std::uint32_t experiment_version,
                                     std::uint64_t seed,

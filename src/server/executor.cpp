@@ -17,23 +17,22 @@ StripedRun::StripedRun(const sweep::RowExperiment& exp,
   stripe_ = chunk_ * (opt_.stripe_chunks == 0 ? 1 : opt_.stripe_chunks);
   stats_.points = n_;
   rows_.resize(n_);
-  if (n_ == 0) return;
-
-  // Identical RNG keying to sweep::Runner: substream per chunk, fork per
-  // in-chunk offset.
-  util::Rng base(opt_.seed);
-  streams_ = base.jump_substreams(util::ThreadPool::chunk_count(n_, chunk_));
-
-  // First-occurrence scan (serial, no evaluation) — memo semantics.
-  std::unordered_map<std::string, std::size_t> first_of;
-  owner_.resize(n_);
-  key_of_.resize(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    std::string k = space_.at(i).key();
-    const auto [it, inserted] = first_of.try_emplace(k, i);
-    owner_[i] = it->second;
-    if (inserted) key_of_[i] = std::move(k);
+  if (cache_) {
+    key_ = cache_key_prefix(exp_.id, exp_.version, opt_.seed);
+    prefix_size_ = key_.size();
   }
+
+  // Identical RNG keying to sweep::Runner: the cursor starts on the first
+  // stream base.jump_substreams() would return (chunk 0); step() jumps it
+  // forward to the chunks that actually evaluate.
+  util::Rng base(opt_.seed);
+  cursor_ = base.fork(base.next_u64());
+}
+
+const std::string& StripedRun::full_key(const std::string& point_key) {
+  key_.resize(prefix_size_);
+  key_ += point_key;
+  return key_;
 }
 
 void StripedRun::step() {
@@ -41,19 +40,27 @@ void StripedRun::step() {
   const std::size_t begin = next_;
   const std::size_t end = std::min(n_, begin + stripe_);
 
+  // First-occurrence scan of this stripe — memo semantics. An owner's
+  // index never exceeds its duplicates', and stripes run in index order,
+  // so this assigns the same owners as one scan of the whole space.
+  owner_.clear();
   pending_.clear();
   for (std::size_t i = begin; i < end; ++i) {
-    if (owner_[i] != i) continue; // duplicate: copied below
+    const auto [it, inserted] = first_of_.try_emplace(space_.at(i).key(), i);
+    owner_.push_back(it->second);
+    if (!inserted) continue; // duplicate: copied below
     if (cache_) {
-      const std::string ck =
-          cache_key(exp_.id, exp_.version, opt_.seed, key_of_[i]);
-      if (auto hit = cache_->lookup(ck)) {
+      if (auto hit = cache_->lookup(full_key(it->first))) {
         rows_[i] = std::move(*hit);
         ++stats_.cache_hits;
         continue;
       }
     }
-    pending_.push_back(i);
+    // Misses arrive in index order, so the cursor only moves forward, and
+    // a fully cached job never jumps.
+    for (; cursor_chunk_ < i / chunk_; ++cursor_chunk_) cursor_.jump();
+    pending_.push_back(
+        {i, &it->first, cursor_.fork(std::uint64_t(i % chunk_))});
   }
 
   // Evaluate the stripe's misses in parallel. The RNG of index i is a
@@ -64,17 +71,19 @@ void StripedRun::step() {
       opt_.threads, pending_.size(), 1,
       [&](std::size_t, std::size_t b, std::size_t e) {
         for (std::size_t k = b; k < e; ++k) {
-          const std::size_t i = pending_[k];
-          util::Rng rng =
-              streams_[i / chunk_].fork(std::uint64_t(i % chunk_));
-          std::vector<sweep::Value> row = exp_.evaluate(space_.at(i), rng);
+          const Pending& p = pending_[k];
+          // A local copy: neighbouring entries' streams share cache lines
+          // and belong to other workers.
+          util::Rng rng = p.rng;
+          std::vector<sweep::Value> row =
+              exp_.evaluate(space_.at(p.index), rng);
           if (row.size() != exp_.columns.size()) {
             throw std::logic_error(
                 "RowExperiment '" + exp_.id + "' produced " +
                 std::to_string(row.size()) + " cells for " +
                 std::to_string(exp_.columns.size()) + " columns");
           }
-          rows_[i] = std::move(row);
+          rows_[p.index] = std::move(row);
         }
       });
   stats_.evaluated += pending_.size();
@@ -82,15 +91,15 @@ void StripedRun::step() {
   // Append to the cache serially in index order: the file layout is then
   // a deterministic function of the job, not of thread scheduling.
   if (cache_) {
-    for (const std::size_t i : pending_) {
-      cache_->insert(cache_key(exp_.id, exp_.version, opt_.seed, key_of_[i]),
-                     rows_[i]);
+    for (const Pending& p : pending_) {
+      cache_->insert(full_key(*p.key), rows_[p.index]);
     }
   }
 
   for (std::size_t i = begin; i < end; ++i) {
-    if (owner_[i] != i) {
-      rows_[i] = rows_[owner_[i]];
+    const std::size_t owner = owner_[i - begin];
+    if (owner != i) {
+      rows_[i] = rows_[owner];
       ++stats_.memo_hits;
     }
   }

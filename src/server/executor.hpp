@@ -19,6 +19,13 @@
 // stripe granularity: rows already streamed stay valid and cached, so a
 // cancelled job resumes from the cache like a killed one.
 //
+// All per-point work is per stripe, so a job's set-up and first row cost
+// O(stripe), not O(space): the first-occurrence scan (Point::key() into a
+// run-wide first-index map) covers only the stripe's indices, and the
+// chunk substreams are not derived up front — a forward-only cursor on the
+// substream sequence is jump()ed to the chunk of each miss, in index
+// order, so a fully cached job never jumps.
+//
 // The stripe is also the *scheduling* quantum: StripedRun exposes the
 // stripe loop one step() at a time, so the server's executor can
 // round-robin several jobs without changing a single row — every stripe is
@@ -85,8 +92,22 @@ class StripedRun {
     return rows_;
   }
   [[nodiscard]] const sweep::RunStats& stats() const { return stats_; }
+  /// jump()s the substream cursor has made so far: the index of the
+  /// highest chunk that has evaluated a point (0 when none has).
+  [[nodiscard]] std::size_t substream_jumps() const { return cursor_chunk_; }
 
  private:
+  /// A first-occurrence point of the current stripe missing from the cache.
+  struct Pending {
+    std::size_t index;
+    const std::string* key; ///< its Point::key(), owned by first_of_
+    util::Rng rng;          ///< its chunk's substream, forked by offset
+  };
+
+  /// The cache key of `point_key`: the run's prefix plus the point key,
+  /// built in key_ (valid until the next call).
+  const std::string& full_key(const std::string& point_key);
+
   const sweep::RowExperiment& exp_;
   const sweep::ParamSpace& space_;
   ExecOptions opt_;
@@ -97,10 +118,14 @@ class StripedRun {
   std::size_t stripe_;
   std::size_t next_ = 0; ///< first index of the next stripe
 
-  std::vector<util::Rng> streams_;    ///< jump substream per chunk
-  std::vector<std::size_t> owner_;    ///< first occurrence of each key
-  std::vector<std::string> key_of_;   ///< point keys of first occurrences
-  std::vector<std::size_t> pending_;  ///< scratch: this stripe's misses
+  util::Rng cursor_;             ///< substream of chunk cursor_chunk_
+  std::size_t cursor_chunk_ = 0;
+  std::string key_;              ///< cache-key prefix, then scratch
+  std::size_t prefix_size_ = 0;
+  /// Point key -> index of its first occurrence, over the stripes so far.
+  std::unordered_map<std::string, std::size_t> first_of_;
+  std::vector<std::size_t> owner_; ///< scratch: owner of each stripe index
+  std::vector<Pending> pending_;   ///< scratch: this stripe's misses
   std::vector<std::vector<sweep::Value>> rows_;
   sweep::RunStats stats_;
 };

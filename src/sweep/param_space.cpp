@@ -1,7 +1,7 @@
 #include "sweep/param_space.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 namespace mss::sweep {
@@ -11,9 +11,13 @@ std::string to_string(const Value& v) {
     return std::to_string(*i);
   }
   if (const auto* d = std::get_if<double>(&v)) {
+    // The standard defines this as printf("%.17g") output, byte for byte
+    // (tests/sweep_test.cpp pins it), without the locale and format-string
+    // parsing.
     char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", *d);
-    return buf;
+    const auto r = std::to_chars(buf, buf + sizeof buf, *d,
+                                 std::chars_format::general, 17);
+    return std::string(buf, r.ptr);
   }
   return std::get<std::string>(v);
 }

@@ -3,6 +3,7 @@
 // cancellation and stripe streaming.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <string>
@@ -200,6 +201,118 @@ TEST(RunCached, DuplicatePointsAreMemoisedNotReevaluated) {
   ASSERT_EQ(sink.rows.size(), 5u);
   EXPECT_EQ(std::get<double>(sink.rows[2][0]), 2.0);
   EXPECT_EQ(std::get<double>(sink.rows[4][0]), 4.0);
+}
+
+TEST(RunCached, DuplicatesOfAnEarlierStripeMatchTheMemoRunner) {
+  // Stripes of one point: every duplicate's owner sits in an earlier
+  // stripe, so the per-stripe first-occurrence scan must carry owners
+  // across stripes.
+  const auto exp = noisy_experiment();
+  ParamSpace space;
+  space.cross(Axis::list(
+      "x", std::vector<double>{1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0}));
+
+  const auto runner_exp = mss::sweep::make_experiment(
+      "ref", [&](const Point& p, mss::util::Rng& rng) {
+        return exp.evaluate(p, rng);
+      });
+  const mss::sweep::Runner runner(
+      {.threads = 1, .chunk_size = 1, .seed = 5, .memoize = true});
+  const auto expected = runner.run(space, runner_exp);
+
+  for (const bool cached : {false, true}) {
+    ExecOptions opt;
+    opt.seed = 5;
+    opt.stripe_chunks = 1;
+    ResultCache cache("");
+    Sink sink;
+    RunStats stats;
+    ASSERT_EQ(run_cached(exp, space, opt, cached ? &cache : nullptr, nullptr,
+                         sink.fn(), &stats),
+              ExecOutcome::Done);
+    EXPECT_TRUE(rows_bit_identical(sink.rows, expected)) << cached;
+    EXPECT_EQ(stats.evaluated, 3u);
+    EXPECT_EQ(stats.memo_hits, 6u);
+    EXPECT_EQ(stats.cache_hits, 0u);
+    EXPECT_EQ(sink.calls, space.size());
+  }
+}
+
+TEST(RunCached, CacheWithHolesJumpsOnlyToMissedChunks) {
+  // 26 points in 9 chunks of 3, stripes of 2 chunks. The misses leave
+  // whole cached chunks inside a stripe (chunk 2) and whole cached
+  // stripes (chunks 0-1) for the substream cursor to skip.
+  const auto exp = noisy_experiment();
+  const auto space = small_space();
+  ExecOptions opt;
+  opt.seed = 99;
+  opt.chunk_size = 3;
+  opt.stripe_chunks = 2;
+
+  Sink cold;
+  ASSERT_EQ(run_cached(exp, space, opt, nullptr, nullptr, cold.fn()),
+            ExecOutcome::Done);
+  ASSERT_EQ(cold.rows.size(), space.size());
+
+  const std::vector<std::size_t> holes = {10, 13, 14, 22}; // chunks 3, 4, 7
+  for (const std::size_t threads : {std::size_t(1), std::size_t(3)}) {
+    opt.threads = threads;
+    ResultCache holed("");
+    for (std::size_t i = 0; i < space.size(); ++i) {
+      if (std::find(holes.begin(), holes.end(), i) != holes.end()) continue;
+      holed.insert(mss::server::cache_key(exp.id, exp.version, opt.seed,
+                                          space.at(i).key()),
+                   cold.rows[i]);
+    }
+    mss::server::StripedRun run(exp, space, opt, &holed);
+    while (!run.finished()) run.step();
+    EXPECT_TRUE(rows_bit_identical(run.rows(), cold.rows)) << threads;
+    EXPECT_EQ(run.stats().evaluated, holes.size());
+    EXPECT_EQ(run.stats().cache_hits, space.size() - holes.size());
+    EXPECT_EQ(run.substream_jumps(), 7u); // cursor parked on chunk 7
+  }
+}
+
+TEST(RunCached, FullyCachedRunNeverJumpsOrEvaluates) {
+  const auto exp = noisy_experiment();
+  const auto space = small_space();
+  ExecOptions opt;
+  opt.chunk_size = 2;
+  opt.stripe_chunks = 3;
+  ResultCache cache("");
+  ASSERT_EQ(run_cached(exp, space, opt, &cache, nullptr, nullptr),
+            ExecOutcome::Done);
+
+  mss::server::StripedRun run(exp, space, opt, &cache);
+  while (!run.finished()) run.step();
+  EXPECT_EQ(run.substream_jumps(), 0u);
+  EXPECT_EQ(run.stats().evaluated, 0u);
+  EXPECT_EQ(run.stats().cache_hits, space.size());
+}
+
+TEST(RunCached, StoresRowsUnderCacheKey) {
+  // The executor builds keys as prefix + point key; they must be the
+  // cache_key() of every point, byte for byte.
+  const auto exp = noisy_experiment();
+  const auto space = small_space();
+  ExecOptions opt;
+  opt.seed = 0xFFFFFFFFFFFFFFFFull;
+  ResultCache cache("");
+  Sink sink;
+  ASSERT_EQ(run_cached(exp, space, opt, &cache, nullptr, sink.fn()),
+            ExecOutcome::Done);
+  EXPECT_EQ(cache.entries(), space.size());
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    const std::string pk = space.at(i).key();
+    const std::string k = mss::server::cache_key(exp.id, exp.version,
+                                                 opt.seed, pk);
+    EXPECT_EQ(mss::server::cache_key_prefix(exp.id, exp.version, opt.seed) +
+                  pk,
+              k);
+    const auto row = cache.lookup(k);
+    ASSERT_TRUE(row.has_value()) << i;
+    EXPECT_TRUE(rows_bit_identical({*row}, {sink.rows[i]})) << i;
+  }
 }
 
 TEST(RunCached, PresetCancelStopsBeforeAnyEvaluation) {

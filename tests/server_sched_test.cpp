@@ -6,6 +6,7 @@
 // connection-lifecycle regression tests (fd leak, connection-table GC).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -42,16 +43,55 @@ ParamSpace demo_space(std::int64_t samples, std::size_t n_thresholds) {
   return s;
 }
 
+/// A latch the test opens. An evaluation waiting on it holds the single
+/// executor thread, so a test can queue jobs while another is mid-stripe
+/// and keep a job from finishing before it reads its status: the
+/// scheduling assertions then hold however fast or loaded the host is.
+struct Gate {
+  std::atomic<bool> open{false};
+  /// Bounded, so a failing test cannot wedge the server's shutdown.
+  void wait() const {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!open.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+};
+
+struct Gates {
+  Gate first; ///< held by a gated job's first point
+  Gate last;  ///< held by a gated job's point at `last_index`
+};
+
+/// The builtin registry plus "test.gated_mc_tail": demo.mc_tail (same rows
+/// for the same seed and space) whose point 0 waits on `gates->first` and
+/// whose point `last_index` waits on `gates->last`.
+Registry gated_registry(std::shared_ptr<Gates> gates, std::size_t last_index) {
+  Registry reg = Registry::builtin();
+  auto exp = demo_mc_tail_experiment();
+  exp.id = "test.gated_mc_tail";
+  exp.evaluate = [gates, last_index, inner = exp.evaluate](
+                     const mss::sweep::Point& p, mss::util::Rng& rng) {
+    if (p.index() == 0) gates->first.wait();
+    if (p.index() == last_index) gates->last.wait();
+    return inner(p, rng);
+  };
+  reg.add(std::move(exp));
+  return reg;
+}
+
 struct TestServer {
   std::string socket_path = temp_name(".sock");
   std::unique_ptr<Server> server;
 
-  explicit TestServer(std::size_t threads = 1, std::size_t stripe_chunks = 2) {
+  explicit TestServer(std::size_t threads = 1, std::size_t stripe_chunks = 2,
+                      Registry registry = Registry::builtin()) {
     ServerOptions opt;
     opt.socket_path = socket_path;
     opt.threads = threads;
     opt.stripe_chunks = stripe_chunks;
-    server = std::make_unique<Server>(opt);
+    server = std::make_unique<Server>(opt, std::move(registry));
     server->start();
   }
   ~TestServer() {
@@ -101,9 +141,14 @@ mss::sweep::ResultTable solo_run(const ParamSpace& space, std::uint64_t seed,
 // wait for it: round-robin at stripe granularity means the small job
 // finishes (24 points = 12 stripes vs 6 points = 3 stripes) while the
 // big one is still mid-flight. This is a property of the queue rotation,
-// not of timing: once both jobs are enqueued the executor alternates.
+// not of timing: the big job's first stripe holds the executor until both
+// jobs are queued, and its last stripe holds it until the test has read
+// the big job's status, so only the rotation decides what runs between.
 TEST(ServerSched, EqualPriorityJobsRoundRobin) {
-  TestServer ts;
+  const ParamSpace big_space = demo_space(40000, 24);   // 12 stripes
+  const ParamSpace small_space = demo_space(40000, 6);  // 3 stripes
+  const auto gates = std::make_shared<Gates>();
+  TestServer ts(1, 2, gated_registry(gates, big_space.size() - 1));
   Client big_client(ts.socket_path);
   Client small_client(ts.socket_path);
 
@@ -112,8 +157,6 @@ TEST(ServerSched, EqualPriorityJobsRoundRobin) {
   // one job rows computed at the *other* job's flat index — the
   // documented stochastic-caveat, not a scheduler property.
   const std::uint64_t seed_big = 77, seed_small = 78;
-  const ParamSpace big_space = demo_space(40000, 24);   // 12 stripes
-  const ParamSpace small_space = demo_space(40000, 6);  // 3 stripes
 
   SubmitOptions big;
   big.seed = seed_big;
@@ -122,8 +165,10 @@ TEST(ServerSched, EqualPriorityJobsRoundRobin) {
   small.seed = seed_small;
   small.space = small_space;
 
-  const std::uint64_t big_job = big_client.submit("demo.mc_tail", big);
+  const std::uint64_t big_job =
+      big_client.submit("test.gated_mc_tail", big);
   const std::uint64_t small_job = small_client.submit("demo.mc_tail", small);
+  gates->first.open = true;
 
   // Stream the small job to completion, then look at the big one.
   std::size_t small_rows_streamed = 0;
@@ -135,11 +180,11 @@ TEST(ServerSched, EqualPriorityJobsRoundRobin) {
   EXPECT_EQ(small_rows_streamed, 6u);
   // Fairness: the big job got slices too (it was submitted first)...
   EXPECT_GT(big_status_at_small_done.rows_done, 0u);
-  // ...but is far from finished when the small job completes. Even if
-  // the big job won a few slices before the small submit landed, 12
-  // stripes cannot fit into the ~3 quanta the rotation grants it.
+  // ...but is far from finished when the small job completes: 12 stripes
+  // cannot fit into the ~3 quanta the rotation grants it.
   EXPECT_LT(big_status_at_small_done.rows_done, big_space.size());
 
+  gates->last.open = true;
   const auto big_result = big_client.fetch(big_job);
   EXPECT_EQ(big_result.status.state, JobState::Done);
 
@@ -152,23 +197,28 @@ TEST(ServerSched, EqualPriorityJobsRoundRobin) {
 }
 
 // A higher-priority submission preempts a running lower-priority job at
-// its next stripe boundary and runs to completion first.
+// its next stripe boundary and runs to completion first. The low job's
+// first stripe holds the executor until the high job is queued, and its
+// last stripe until the test has read its status.
 TEST(ServerSched, HigherPriorityPreemptsAtStripeBoundary) {
-  TestServer ts;
+  const ParamSpace low_space = demo_space(40000, 24); // 12 stripes
+  const auto gates = std::make_shared<Gates>();
+  TestServer ts(1, 2, gated_registry(gates, low_space.size() - 1));
   Client low_client(ts.socket_path);
   Client high_client(ts.socket_path);
 
   SubmitOptions low;
   low.seed = 5;
-  low.space = demo_space(40000, 24); // 12 stripes of background work
+  low.space = low_space;
   low.priority = 0;
   SubmitOptions high;
   high.seed = 6; // distinct seed: no cross-job cache traffic
   high.space = demo_space(40000, 8); // 4 stripes
   high.priority = 10;
 
-  const std::uint64_t low_job = low_client.submit("demo.mc_tail", low);
+  const std::uint64_t low_job = low_client.submit("test.gated_mc_tail", low);
   const std::uint64_t high_job = high_client.submit("demo.mc_tail", high);
+  gates->first.open = true;
 
   const auto high_result = high_client.fetch(high_job);
   const auto low_status = low_client.status(low_job);
@@ -177,6 +227,7 @@ TEST(ServerSched, HigherPriorityPreemptsAtStripeBoundary) {
   // left: the queue strictly prefers the higher priority level.
   EXPECT_LT(low_status.rows_done, low.space->size());
 
+  gates->last.open = true;
   const auto low_result = low_client.fetch(low_job);
   EXPECT_EQ(low_result.status.state, JobState::Done);
   EXPECT_EQ(low_result.table.rows(), 24u);

@@ -10,6 +10,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -157,6 +160,58 @@ TEST(Point, KeySeparatesAdjacentDoubles) {
   const auto b =
       sw::ParamSpace().cross(sw::Axis::list("x", std::vector<double>{hi}));
   EXPECT_NE(a.at(0).key(), b.at(0).key()); // %.17g keeps them apart
+}
+
+TEST(Point, DoubleTextIsPrintfPercent17g) {
+  // The key contract fixes a double's text as printf "%.17g"; the
+  // to_chars production must match it byte for byte, specials included.
+  const auto printf17 = [](double d) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", d);
+    return std::string(buf);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {0.0,
+                             -0.0,
+                             inf,
+                             -inf,
+                             nan,
+                             -nan,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::max(),
+                             -std::numeric_limits<double>::max(),
+                             1e16,
+                             1e17,
+                             0.1,
+                             1.0 / 3.0,
+                             123456789012345678.0};
+  for (const double d : specials) {
+    EXPECT_EQ(sw::to_string(sw::Value(d)), printf17(d)) << printf17(d);
+  }
+  mss::util::Rng rng(0x6B6579ull);
+  std::size_t mismatches = 0;
+  for (int k = 0; k < 100000; ++k) {
+    const std::uint64_t bits = rng.next_u64();
+    double d;
+    std::memcpy(&d, &bits, sizeof d);
+    if (sw::to_string(sw::Value(d)) != printf17(d)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Point, KeyOfNegativeZeroAndDenormalIsFrozen) {
+  const auto space =
+      sw::ParamSpace()
+          .cross(sw::Axis::list("z", std::vector<double>{-0.0}))
+          .cross(sw::Axis::list(
+              "tiny",
+              std::vector<double>{std::numeric_limits<double>::denorm_min()}))
+          .cross(sw::Axis::list("x", std::vector<double>{0.1}));
+  EXPECT_EQ(space.at(0).key(),
+            "z=d-0;tiny=d4.9406564584124654e-324;x=d0.10000000000000001;");
 }
 
 TEST(Point, KeyRoundTripsThroughItsDocumentedGrammar) {
